@@ -5,9 +5,10 @@ plot.  Operator spec files are JSON documents with integer ``period``,
 integer ``band`` and a ``diagonals`` map from offset strings to arrays of
 entries (bare reals or ``[re, im]`` pairs).
 
-Exit codes: 0 success, 2 unreadable/unparseable input, 3 spec invariant
-violation, 4 output I/O failure, 5 verification tolerance breach.
-All file output is written atomically (temp file, then rename).
+Exit codes: 0 success, 1 eigensolver failure, 2 unreadable/unparseable
+input, 3 spec invariant violation, 4 output I/O failure, 5 verification
+tolerance breach.  All file output is written atomically (temp file, then
+rename) with the mode the umask allows; JSON output is compact.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ def _write_output(text: str, path: str | None) -> None:
         handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".toeprange-")
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(text)
+        # mkstemp creates mode 0600; give the file the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except OSError as exc:
         if tmp_path is not None and os.path.exists(tmp_path):
@@ -109,7 +114,8 @@ def _load(config: RunConfig) -> PeriodicBandedSpec:
 
 
 def _json(doc) -> str:
-    return json.dumps(doc, indent=1) + "\n"
+    # Compact, so that json uses its C encoder (indent forces the Python one).
+    return json.dumps(doc) + "\n"
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -230,9 +236,7 @@ def counterexample_doc(config: RunConfig) -> tuple[dict, str]:
     ) / (1.0 + np.hypot(vertices[:, 0], vertices[:, 1]) ** 4)
     family = ellipse_family()
     grid = np.linspace(0.0, TAU, 100, endpoint=False)
-    family_residual = max(
-        abs(ellipse_family_residual(th, tt)) for th in grid for tt in grid
-    )
+    family_residual = np.max(np.abs(ellipse_family_residual(grid[:, None], grid[None, :])))
     envelope_extremes = max(
         abs(envelope_residual(family, 1.5, 0.0)),
         abs(envelope_residual(family, -2.5, 0.0)),

@@ -232,24 +232,26 @@ def family_discriminant(family: ConicFamilyCoefficients) -> dict[tuple[int, int]
     return {k: v for k, v in out.items() if v != 0}
 
 
-def ellipse_point(theta: float, t: float) -> tuple[float, float]:
+def ellipse_point(theta, t):
     """Parametrization of the symbol range boundary ellipse at angle
-    ``theta``: center on the unit circle, axes set by the half-angle."""
+    ``theta``: center on the unit circle, axes set by the half-angle.
+    Broadcasts over array arguments; scalars give a pair of floats."""
     half = 0.5 * theta
-    x = math.cos(theta) + 0.5 * math.cos(half) * math.cos(t) - 1.5 * math.sin(half) * math.sin(t)
-    y = math.sin(theta) + 0.5 * math.sin(half) * math.cos(t) + 1.5 * math.cos(half) * math.sin(t)
+    x = np.cos(theta) + 0.5 * np.cos(half) * np.cos(t) - 1.5 * np.sin(half) * np.sin(t)
+    y = np.sin(theta) + 0.5 * np.sin(half) * np.cos(t) + 1.5 * np.cos(half) * np.sin(t)
     return x, y
 
 
-def ellipse_family_residual(theta: float, t: float) -> float:
+def ellipse_family_residual(theta, t):
     """``H(X(t), Y(t); theta)`` for the built-in family; vanishes for every
-    (theta, t) because the parametrized ellipse is exactly the conic."""
+    (theta, t) because the parametrized ellipse is exactly the conic.
+    Broadcasts over array arguments; scalars give a float."""
     family = ellipse_family()
     x, y = ellipse_point(theta, t)
     a = evaluate_bivariate(family.alpha, x, y)
     b = evaluate_bivariate(family.beta, x, y)
     g = evaluate_bivariate(family.gamma, x, y)
-    return a * math.cos(theta) + b * math.sin(theta) + g
+    return a * np.cos(theta) + b * np.sin(theta) + g
 
 
 def _fibonacci_disk(count: int) -> np.ndarray:

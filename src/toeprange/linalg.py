@@ -85,6 +85,17 @@ class HermitianEigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def hermitian_solve(solver, h):
+    """Apply ``np.linalg.eigh`` or ``np.linalg.eigvalsh`` (``solver``) to a
+    Hermitian matrix or stack.  A convergence failure raises
+    ``EigenSolverError``, not the ``LinAlgError`` that is a ``ValueError``
+    and would read as invalid input."""
+    try:
+        return solver(h)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"Hermitian eigensolver did not converge: {exc}") from exc
+
+
 def eigh(h, check: bool = True) -> HermitianEigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
@@ -98,14 +109,11 @@ def eigh(h, check: bool = True) -> HermitianEigenDecomposition:
     if hermiticity_defect(m) > HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     sym = 0.5 * (m + m.conj().T)
-    try:
-        if np.all(sym.imag == 0.0):
-            values, vectors = np.linalg.eigh(sym.real)
-            vectors = vectors.astype(complex)
-        else:
-            values, vectors = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"Hermitian eigensolver did not converge: {exc}") from exc
+    if np.all(sym.imag == 0.0):
+        values, vectors = hermitian_solve(np.linalg.eigh, sym.real)
+        vectors = vectors.astype(complex)
+    else:
+        values, vectors = hermitian_solve(np.linalg.eigh, sym)
     values = np.asarray(values, dtype=float)
     if check:
         n = m.shape[0]

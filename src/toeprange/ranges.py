@@ -7,6 +7,8 @@ point attaining it.  The closure of the operator range is approximated by
 the convex hull of boundary points collected over a ``theta`` grid of
 symbols and a ``phi`` grid of directions; the hull is an inner
 approximation whose support gap is controlled by the angular resolution.
+Samples inside the polygon spanned by each direction's maximizer are
+screened out before the hull is taken, which leaves the hull unchanged.
 """
 
 from __future__ import annotations
@@ -120,27 +122,31 @@ class RangeReport:
     phi_count: int
     residual_summary: dict[str, float] = field(default_factory=dict)
 
+    def _sample_rows(self) -> list[list[float]]:
+        """Samples as Python float rows in ``SAMPLE_DTYPE`` field order."""
+        columns = [self.samples[name] for name in SAMPLE_DTYPE.names]
+        return np.column_stack(columns).tolist()
+
     def to_dict(self) -> dict:
         return {
             "kind": "range-report",
             "theta_count": self.theta_count,
             "phi_count": self.phi_count,
             "residual_summary": {k: float(v) for k, v in self.residual_summary.items()},
-            "polygon": [[float(x), float(y)] for x, y in self.polygon.vertices],
-            "samples": [
-                [float(row["theta"]), float(row["phi"]), float(row["support_value"]),
-                 float(row["x"]), float(row["y"])]
-                for row in self.samples
-            ],
+            "polygon": self.polygon.vertices.tolist(),
+            "samples": self._sample_rows(),
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RangeReport":
         if doc.get("kind") != "range-report":
             raise ValueError("not a range-report document")
-        samples = np.zeros(len(doc["samples"]), dtype=SAMPLE_DTYPE)
-        for i, row in enumerate(doc["samples"]):
-            samples[i] = tuple(row)
+        rows = np.asarray(doc["samples"], dtype=float).reshape(-1, len(SAMPLE_DTYPE))
+        if rows.shape[0] != len(doc["samples"]):
+            raise ValueError("each sample must be a row of five numbers")
+        samples = np.zeros(rows.shape[0], dtype=SAMPLE_DTYPE)
+        for i, name in enumerate(SAMPLE_DTYPE.names):
+            samples[name] = rows[:, i]
         return cls(
             polygon=ConvexPolygon(np.asarray(doc["polygon"], dtype=float)),
             samples=samples,
@@ -150,15 +156,41 @@ class RangeReport:
         )
 
     def flat_table(self) -> str:
-        lines = ["theta phi support_value x y"]
-        for row in self.samples:
-            lines.append(
-                " ".join(
-                    f"{float(row[name]):.17g}"
-                    for name in ("theta", "phi", "support_value", "x", "y")
-                )
-            )
-        return "\n".join(lines) + "\n"
+        row_format = " ".join(["%.17g"] * len(SAMPLE_DTYPE)) + "\n"
+        rows = "".join(row_format % tuple(row) for row in self._sample_rows())
+        return " ".join(SAMPLE_DTYPE.names) + "\n" + rows
+
+
+def _hull_tolerance(pts: np.ndarray) -> float:
+    """Cross-product threshold below which ``convex_hull`` treats a turn as
+    collinear.  The largest coordinate magnitude is attained at a hull
+    vertex, so the value is the same for any subset keeping the vertices."""
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    return HULL_COLLINEARITY_RTOL * scale * scale
+
+
+def _hull_candidates(inner: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
+    """Mask of the points that may be vertices of the hull of ``pts``.
+
+    ``inner`` must be a polygon spanned by some of the points.  Each point
+    is bucketed by its angle around the vertex centroid of ``inner`` and
+    dropped only when it lies inside its wedge's edge by more than
+    ``convex_hull``'s collinearity threshold (Akl & Toussaint, "A fast
+    convex hull algorithm", IPL 1978).
+    """
+    center = inner.vertices.mean(axis=0)
+    rel = inner.vertices - center
+    angles = np.arctan2(rel[:, 1], rel[:, 0])
+    start = int(np.argmin(angles))
+    v, angles = np.roll(inner.vertices, -start, axis=0), np.roll(angles, -start)
+    # Edge k runs from vertex k to k + 1; cross_k(p) = ex*y - ey*x - offset.
+    ex, ey = (np.roll(v, -1, axis=0) - v).T
+    offset = ex * v[:, 1] - ey * v[:, 0]
+    x, y = pts[:, 0], pts[:, 1]
+    # Wedge k lies between vertices k and k + 1; index -1 is the one that wraps.
+    wedge = np.searchsorted(angles, np.arctan2(y - center[1], x - center[0]), side="right") - 1
+    cross = ex[wedge] * y - ey[wedge] * x - offset[wedge]
+    return ~(cross > _hull_tolerance(pts))
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -172,8 +204,7 @@ def convex_hull(points) -> ConvexPolygon:
     pts = np.unique(pts, axis=0)  # lexicographic sort, duplicates removed
     if pts.shape[0] == 1:
         return ConvexPolygon(pts)
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    tol = HULL_COLLINEARITY_RTOL * scale * scale
+    tol = _hull_tolerance(pts)
 
     def chain(ordered):
         out = []
@@ -215,13 +246,13 @@ def _batched_support(matrices: np.ndarray, phis: np.ndarray, want_points: bool):
             rotated = phases[None, :, None, None] * part[:, None, :, :]
             herm = 0.5 * (rotated + np.conj(np.swapaxes(rotated, -1, -2)))
             if want_points:
-                values, vectors = np.linalg.eigh(herm)
+                values, vectors = linalg.hermitian_solve(np.linalg.eigh, herm)
                 top = vectors[..., :, -1]
                 rayleigh = np.einsum("cpi,cij,cpj->cp", np.conj(top), part, top)
                 points[i0 : i0 + mat_chunk, j0 : j0 + phi_chunk, 0] = rayleigh.real
                 points[i0 : i0 + mat_chunk, j0 : j0 + phi_chunk, 1] = rayleigh.imag
             else:
-                values = np.linalg.eigvalsh(herm)
+                values = linalg.hermitian_solve(np.linalg.eigvalsh, herm)
             supports[i0 : i0 + mat_chunk, j0 : j0 + phi_chunk] = values[..., -1]
     return supports, points
 
@@ -277,7 +308,13 @@ def operator_range(
         samples["phi"]
     )
     attainment_gap = float(np.max(samples["support_value"] - attained))
-    polygon = convex_hull(points.reshape(-1, 2))
+    # Each direction's maximizer over theta is a hull vertex candidate; the
+    # polygon they span lies inside the hull and screens out interior points.
+    flat = points.reshape(-1, 2)
+    inner = convex_hull(points[supports.argmax(axis=0), np.arange(phi_count)])
+    if inner.vertices.shape[0] >= 3:
+        flat = flat[_hull_candidates(inner, flat)]
+    polygon = convex_hull(flat)
     return RangeReport(
         polygon=polygon,
         samples=samples,
@@ -299,7 +336,7 @@ def selfadjoint_interval(
     thetas = TAU * np.arange(theta_count) / theta_count
     symbols = symbol_batch(spec, thetas)
     hermitized = 0.5 * (symbols + np.conj(np.swapaxes(symbols, -1, -2)))
-    values = np.linalg.eigvalsh(hermitized)
+    values = linalg.hermitian_solve(np.linalg.eigvalsh, hermitized)
     return float(np.min(values[:, 0])), float(np.max(values[:, -1]))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from toeprange import cli
 from toeprange.operators import counterexample_spec, spec_to_doc, symbol, validate_spec
-from toeprange.ranges import RangeReport
+from toeprange.ranges import RangeReport, operator_range
 
 COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
 FREE_JACOBI = os.path.join(os.path.dirname(__file__), "..", "specs", "free_jacobi.json")
@@ -49,6 +49,15 @@ class TestValidate:
         echoed = json.loads(capsys.readouterr().out)
         assert sorted(echoed["diagonals"]) == ["-1", "-2", "0", "1", "2"]
 
+    def test_output_mode_honours_umask(self, tmp_path):
+        out = tmp_path / "echo.json"
+        previous = os.umask(0o022)
+        try:
+            assert cli.main(["validate", COUNTEREXAMPLE, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert out.stat().st_mode & 0o777 == 0o644
+
 
 class TestSymbol:
     def test_matches_library(self, capsys):
@@ -69,6 +78,16 @@ class TestRange:
         report = RangeReport.from_dict(json.loads(out.read_text()))
         assert report.theta_count == 24
         assert report.samples.shape == (24 * 24,)
+
+    def test_report_doc_matches_library(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(
+            ["range", COUNTEREXAMPLE, "--theta-count", "20", "--phi-count", "30",
+             "--out", str(out)]
+        )
+        assert code == 0
+        library = operator_range(counterexample_spec(), 20, 30).to_dict()
+        assert json.loads(out.read_text()) == library
 
     def test_flat_table_deterministic(self, tmp_path):
         args = ["range", COUNTEREXAMPLE, "--theta-count", "18", "--phi-count", "18",
@@ -211,6 +230,26 @@ class TestPlot:
         )
         assert code == 0
         assert "<circle" in out.read_text()
+
+
+class TestEigensolverFailure:
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def test_sweep_failure_is_not_a_spec_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "eigh", self.fail)
+        code = cli.main(["range", COUNTEREXAMPLE, "--theta-count", "6", "--phi-count", "6"])
+        assert code != cli.EXIT_INVARIANT
+        assert code == 1
+        assert "eigensolver did not converge" in capsys.readouterr().err
+
+    def test_interval_failure_is_not_a_spec_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "eigvalsh", self.fail)
+        code = cli.main(["interval", FREE_JACOBI, "--theta-count", "8"])
+        assert code != cli.EXIT_INVARIANT
+        assert code == 1
+        assert "eigensolver did not converge" in capsys.readouterr().err
 
 
 class TestConfigValidation:

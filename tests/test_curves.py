@@ -145,6 +145,18 @@ class TestEllipseParametrization:
         worst = max(abs(ellipse_family_residual(th, t)) for th in grid for t in grid)
         assert worst <= 1e-9
 
+    def test_broadcast_matches_scalar_calls(self):
+        grid = np.linspace(0.0, TAU, 12, endpoint=False)
+        residual = ellipse_family_residual(grid[:, None], grid[None, :])
+        x, y = ellipse_point(grid[:, None], grid[None, :])
+        assert residual.shape == x.shape == y.shape == (12, 12)
+        for i, th in enumerate(grid):
+            for j, t in enumerate(grid):
+                scalar = ellipse_family_residual(th, t)
+                assert isinstance(scalar, float)
+                assert residual[i, j] == scalar
+                assert (x[i, j], y[i, j]) == ellipse_point(th, t)
+
 
 class TestKippenhahnForm:
     def test_one_by_one(self):

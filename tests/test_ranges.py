@@ -1,6 +1,7 @@
 """Support sweeps, convex hulls, and range assembly."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from toeprange.operators import (
     SpecError,
     counterexample_spec,
     free_jacobi_spec,
+    load_spec,
     random_spec,
     symbol,
     symbol_batch,
@@ -28,6 +30,10 @@ from toeprange.ranges import (
     selfadjoint_interval,
     support_function,
     truncation_inclusion_check,
+)
+
+SELFADJOINT_PERIOD3 = os.path.join(
+    os.path.dirname(__file__), "..", "specs", "selfadjoint_period3.json"
 )
 
 
@@ -179,6 +185,25 @@ class TestOperatorRange:
         )
         assert hausdorff_distance(report.polygon, again) <= 1e-12
 
+    def test_polygon_is_exact_hull_of_samples(self):
+        # operator_range screens interior samples out before the hull; the
+        # polygon must equal the hull of every sample bit for bit, including
+        # the cases where the screening polygon degenerates.
+        rng = np.random.default_rng(37)
+        cases = [
+            (random_spec(rng, int(rng.integers(2, 9)), int(rng.integers(0, 5))), 40, 60)
+            for _ in range(6)
+        ]
+        cases += [
+            (load_spec(SELFADJOINT_PERIOD3), 40, 40),
+            (PeriodicBandedSpec(period=1, band=0, diagonals={0: [0.5 + 0.25j]}), 8, 8),
+            (counterexample_spec(), 180, 180),
+        ]
+        for spec, theta_count, phi_count in cases:
+            report = operator_range(spec, theta_count, phi_count)
+            full = convex_hull(np.stack([report.samples["x"], report.samples["y"]], axis=1))
+            assert np.array_equal(report.polygon.vertices, full.vertices)
+
     def test_rayleigh_containment(self):
         rng = np.random.default_rng(33)
         spec = counterexample_spec()
@@ -296,6 +321,29 @@ class TestRangeReport:
         assert again.phi_count == report.phi_count
         assert np.array_equal(again.polygon.vertices, report.polygon.vertices)
         assert np.array_equal(again.samples, report.samples)
+
+    def test_empty_samples_roundtrip(self):
+        report = operator_range(counterexample_spec(), 4, 4)
+        report.samples = report.samples[:0]
+        doc = report.to_dict()
+        assert doc["samples"] == []
+        again = RangeReport.from_dict(doc)
+        assert again.samples.shape == (0,) and again.samples.dtype == report.samples.dtype
+        assert report.flat_table() == "theta phi support_value x y\n"
+
+    def test_from_dict_rejects_malformed_rows(self):
+        doc = operator_range(counterexample_spec(), 4, 5).to_dict()
+        doc["samples"] = [row[:4] for row in doc["samples"]]
+        with pytest.raises(ValueError):
+            RangeReport.from_dict(doc)
+
+    def test_flat_table_matches_row_formatting(self):
+        report = operator_range(counterexample_spec(), 9, 11)
+        names = ("theta", "phi", "support_value", "x", "y")
+        reference = ["theta phi support_value x y"] + [
+            " ".join(f"{float(row[name]):.17g}" for name in names) for row in report.samples
+        ]
+        assert report.flat_table() == "\n".join(reference) + "\n"
 
     def test_flat_table_shape(self):
         report = operator_range(counterexample_spec(), 5, 7)
