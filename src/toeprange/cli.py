@@ -373,6 +373,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise SpecError("phi-count must be >= 3")
     if config.overlay_thetas < 0:
         raise SpecError("overlay-thetas must be >= 0")
+    if config.direction_count < 1:
+        raise SpecError("direction-count must be >= 1")
+    if not np.isfinite(config.theta):
+        raise SpecError("theta must be finite")
+    if not np.isfinite(config.tol_scale):
+        raise SpecError("tol-scale must be finite")
     return config
 
 

@@ -75,6 +75,10 @@ class PeriodicBandedSpec:
     def __post_init__(self):
         if not isinstance(self.period, (int, np.integer)) or self.period < 1:
             raise SpecError(f"period must be a positive integer, got {self.period!r}")
+        if self.period > MATRIX_SIZE_CAP:
+            raise SpecError(
+                f"period {self.period} exceeds the dense size cap {MATRIX_SIZE_CAP}"
+            )
         if not isinstance(self.band, (int, np.integer)) or self.band < 0:
             raise SpecError(f"band must be a nonnegative integer, got {self.band!r}")
         object.__setattr__(self, "period", int(self.period))

@@ -9,6 +9,10 @@ symbols and a ``phi`` grid of directions; the hull is an inner
 approximation whose support gap is controlled by the angular resolution.
 Samples inside the polygon spanned by each direction's maximizer are
 screened out before the hull is taken, which leaves the hull unchanged.
+
+Direction grids are uniform, ``phi_j = 2*pi*j/P``.  For even ``P`` one
+Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
+(top and negated bottom eigenpair), so half the directions are solved.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ HULL_COLLINEARITY_RTOL = 1e-12
 HAUSDORFF_GRID = 720
 # Batched eigensolves are chunked to roughly this many matrix entries.
 _CHUNK_ENTRY_BUDGET = 2_000_000
+# Sweeps whose symbol stack and sample arrays are estimated to need more
+# bytes than this are refused before anything is allocated.
+SWEEP_BYTE_CAP = 1 << 30
 
 SAMPLE_DTYPE = np.dtype(
     [
@@ -227,34 +234,64 @@ def convex_hull(points) -> ConvexPolygon:
     return ConvexPolygon(np.asarray(hull))
 
 
-def _batched_support(matrices: np.ndarray, phis: np.ndarray, want_points: bool):
-    """Support values (and boundary points) of a stack of matrices over a
-    direction grid.  ``matrices`` has shape (B, d, d); results have shape
-    (B, P) and (B, P, 2).  Work is chunked over both axes so the rotated
-    Hermitian stack stays within a fixed entry budget."""
+def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
+    """Support values (and boundary points) of a stack of matrices over the
+    uniform direction grid ``phi_j = 2*pi*j/P``.  ``matrices`` has shape
+    (B, d, d); results have shape (B, P) and (B, P, 2).
+
+    For even P, direction ``j + P/2`` is antipodal to ``j``: since
+    Re(e^{-i(phi+pi)}A) = -Re(e^{-i phi}A), its support is minus the bottom
+    eigenvalue at ``phi_j`` and its boundary point is the Rayleigh value of
+    the bottom eigenvector, so only the directions ``j < P/2`` are solved.
+    For odd P every direction is solved.  Work is chunked over both axes so
+    the rotated Hermitian stack stays within a fixed entry budget."""
     mats = np.asarray(matrices, dtype=complex)
     b, d, _ = mats.shape
-    p = phis.size
-    supports = np.empty((b, p))
-    points = np.empty((b, p, 2)) if want_points else None
-    phi_chunk = max(1, min(p, _CHUNK_ENTRY_BUDGET // (d * d)))
+    half = phi_count // 2 if phi_count % 2 == 0 else phi_count
+    phis = TAU * np.arange(half) / phi_count
+    supports = np.empty((b, phi_count))
+    points = np.empty((b, phi_count, 2)) if want_points else None
+    phi_chunk = max(1, min(half, _CHUNK_ENTRY_BUDGET // (d * d)))
     mat_chunk = max(1, _CHUNK_ENTRY_BUDGET // (phi_chunk * d * d))
     for i0 in range(0, b, mat_chunk):
-        part = mats[i0 : i0 + mat_chunk]
-        for j0 in range(0, p, phi_chunk):
-            phases = np.exp(-1j * phis[j0 : j0 + phi_chunk])
+        rows = slice(i0, i0 + mat_chunk)
+        part = mats[rows]
+        for j0 in range(0, half, phi_chunk):
+            cols = slice(j0, min(j0 + phi_chunk, half))
+            phases = np.exp(-1j * phis[cols])
             rotated = phases[None, :, None, None] * part[:, None, :, :]
             herm = 0.5 * (rotated + np.conj(np.swapaxes(rotated, -1, -2)))
             if want_points:
                 values, vectors = linalg.hermitian_solve(np.linalg.eigh, herm)
-                top = vectors[..., :, -1]
-                rayleigh = np.einsum("cpi,cij,cpj->cp", np.conj(top), part, top)
-                points[i0 : i0 + mat_chunk, j0 : j0 + phi_chunk, 0] = rayleigh.real
-                points[i0 : i0 + mat_chunk, j0 : j0 + phi_chunk, 1] = rayleigh.imag
             else:
                 values = linalg.hermitian_solve(np.linalg.eigvalsh, herm)
-            supports[i0 : i0 + mat_chunk, j0 : j0 + phi_chunk] = values[..., -1]
+            # (columns, eigenpair index, sign): column j takes the top pair;
+            # for even P, column j + P/2 takes the bottom pair, negated.
+            targets = [(cols, -1, 1.0)]
+            if half < phi_count:
+                targets.append((slice(cols.start + half, cols.stop + half), 0, -1.0))
+            for target, end, sign in targets:
+                supports[rows, target] = sign * values[..., end]
+                if want_points:
+                    v = vectors[..., :, end]
+                    rayleigh = np.einsum("cpi,cij,cpj->cp", np.conj(v), part, v)
+                    points[rows, target, 0] = rayleigh.real
+                    points[rows, target, 1] = rayleigh.imag
     return supports, points
+
+
+def _check_sweep_size(period: int, theta_count: int, phi_count: int) -> None:
+    """Raise ``ValueError`` when the (theta_count, d, d) complex symbol stack
+    plus the theta_count * phi_count sample arrays (structured row, support
+    value, boundary point) are estimated to exceed ``SWEEP_BYTE_CAP``."""
+    per_sample = SAMPLE_DTYPE.itemsize + 3 * 8
+    estimate = theta_count * (16 * period * period + per_sample * phi_count)
+    if estimate > SWEEP_BYTE_CAP:
+        raise ValueError(
+            f"a sweep over {theta_count} symbol angles and {phi_count} directions "
+            f"at period {period} needs about {estimate:.3g} bytes, over the cap "
+            f"of {SWEEP_BYTE_CAP} bytes"
+        )
 
 
 def support_function(a, phi: float) -> SupportSample:
@@ -278,8 +315,7 @@ def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("numerical range needs a square matrix")
-    phis = TAU * np.arange(phi_count) / phi_count
-    _, points = _batched_support(m[None, :, :], phis, want_points=True)
+    _, points = _batched_support(m[None, :, :], phi_count, want_points=True)
     return convex_hull(points.reshape(-1, 2))
 
 
@@ -292,10 +328,11 @@ def operator_range(
         raise ValueError("theta_count must be >= 1")
     if phi_count < 3:
         raise ValueError("phi_count must be >= 3")
+    _check_sweep_size(spec.period, theta_count, phi_count)
     thetas = TAU * np.arange(theta_count) / theta_count
     phis = TAU * np.arange(phi_count) / phi_count
     symbols = symbol_batch(spec, thetas)
-    supports, points = _batched_support(symbols, phis, want_points=True)
+    supports, points = _batched_support(symbols, phi_count, want_points=True)
 
     samples = np.zeros(theta_count * phi_count, dtype=SAMPLE_DTYPE)
     samples["theta"] = np.repeat(thetas, phi_count)
@@ -333,6 +370,7 @@ def selfadjoint_interval(
         raise ValueError("theta_count must be >= 1")
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
+    _check_sweep_size(spec.period, theta_count, 0)
     thetas = TAU * np.arange(theta_count) / theta_count
     symbols = symbol_batch(spec, thetas)
     hermitized = 0.5 * (symbols + np.conj(np.swapaxes(symbols, -1, -2)))
@@ -346,12 +384,17 @@ def truncation_inclusion_check(
     """Worst support excess of the ``n_rows`` truncation over the report's
     polygon across the report's direction grid.
 
-    Inclusion of truncation ranges in the symbol hull makes this at most
-    the angular resolution gap of the sweep (plus rounding).
+    Truncation ranges lie in the range closure, so the excess is at most
+    the distance from the report's polygon to the closure.  That distance
+    has a ``phi`` term, the angular resolution gap, and a ``theta`` term from
+    the symbols missed between grid angles; ``angular_resolution_gap`` covers
+    only the first.  On coarse ``theta`` grids the excess can exceed it
+    (``verify specs/counterexample.json --theta-count 3`` fails); a bound
+    with both terms is item 2 of ROADMAP.md.
     """
     t_n = truncation(spec, n_rows)
     phis = TAU * np.arange(report.phi_count) / report.phi_count
-    supports, _ = _batched_support(t_n[None, :, :], phis, want_points=False)
+    supports, _ = _batched_support(t_n[None, :, :], report.phi_count, want_points=False)
     return float(np.max(supports[0] - report.polygon.support(phis)))
 
 

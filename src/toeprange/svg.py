@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 MARGIN_FRACTION = 0.05
+MIN_SPAN_FRACTION = 0.1
 
 
 def _fmt(value: float) -> str:
@@ -31,19 +32,19 @@ def range_figure(
     """Render the hull polygon plus optional (label, vertices) overlays.
 
     Degenerate hulls (single point, segment) render as a dot or a line.
-    The view box is fitted to all drawn data with a 5% margin.
+    The view box is fitted to all drawn data with a 5% margin; neither side
+    is shorter than a tenth of the other.
     """
     main = np.asarray(polygon_vertices, dtype=float)
     groups = [np.asarray(v, dtype=float) for _, v in overlays]
     stacked = np.vstack([main] + groups) if groups else main
-    xmin, ymin = stacked.min(axis=0)
-    xmax, ymax = stacked.max(axis=0)
-    span_x = max(xmax - xmin, 1e-9)
-    span_y = max(ymax - ymin, 1e-9)
-    xmin -= MARGIN_FRACTION * span_x
-    xmax += MARGIN_FRACTION * span_x
-    ymin -= MARGIN_FRACTION * span_y
-    ymax += MARGIN_FRACTION * span_y
+    low, high = stacked.min(axis=0), stacked.max(axis=0)
+    # A segment or point has a zero span; floor each span relative to the
+    # larger one so the view box keeps a visible height and width.
+    span = np.maximum(high - low, MIN_SPAN_FRACTION * max(np.max(high - low), 1e-9))
+    center = 0.5 * (low + high)
+    xmin, ymin = center - (0.5 + MARGIN_FRACTION) * span
+    xmax, ymax = center + (0.5 + MARGIN_FRACTION) * span
     scale = min(width / (xmax - xmin), height / (ymax - ymin))
 
     def transform(x, y):

@@ -49,6 +49,11 @@ class TestValidate:
         echoed = json.loads(capsys.readouterr().out)
         assert sorted(echoed["diagonals"]) == ["-1", "-2", "0", "1", "2"]
 
+    def test_oversized_period_refused(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"period": 100000000, "band": 1, "diagonals": {}})
+        assert cli.main(["validate", path]) == 3
+        assert "exceeds the dense size cap" in capsys.readouterr().err
+
     def test_output_mode_honours_umask(self, tmp_path):
         out = tmp_path / "echo.json"
         previous = os.umask(0o022)
@@ -111,6 +116,35 @@ class TestRange:
         assert text.startswith("<svg")
         assert text.count("<path") == 7  # six dotted overlays plus the hull
         assert 'stroke="red"' in text
+
+    def test_segment_svg_has_visible_view_box(self, tmp_path):
+        # The hull of a constant diagonal symbol is the segment [1, 3].
+        spec_path = write_spec(
+            tmp_path, {"period": 3, "band": 1, "diagonals": {"0": [1, 2, 3]}}
+        )
+        out = tmp_path / "segment.svg"
+        code = cli.main(
+            ["range", spec_path, "--theta-count", "8", "--phi-count", "8",
+             "--format", "svg", "--out", str(out)]
+        )
+        assert code == 0
+        text = out.read_text()
+        width, height = (float(v) for v in text.split('viewBox="0 0 ')[1].split('"')[0].split())
+        assert width > 0 and height > 0
+        red = [line for line in text.splitlines() if 'stroke="red"' in line]
+        assert len(red) == 1
+        coords = np.array(
+            [float(v) for v in red[0].split('d="')[1].split('"')[0].split()
+             if v not in ("M", "L", "Z")]
+        ).reshape(-1, 2)
+        assert np.all((coords >= 0) & (coords <= [width, height]))
+
+    def test_oversized_sweep_refused(self, capsys):
+        code = cli.main(
+            ["range", COUNTEREXAMPLE, "--theta-count", "2", "--phi-count", "10000000000000"]
+        )
+        assert code == 3
+        assert "cap" in capsys.readouterr().err
 
     def test_write_failure_exit_code(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir" / "x.json"
@@ -256,3 +290,15 @@ class TestConfigValidation:
     def test_bad_counts(self):
         assert cli.main(["range", COUNTEREXAMPLE, "--theta-count", "0"]) == 3
         assert cli.main(["range", COUNTEREXAMPLE, "--phi-count", "2"]) == 3
+
+    def test_zero_direction_count(self, capsys):
+        assert cli.main(["counterexample", "--direction-count", "0"]) == 3
+        assert "direction-count" in capsys.readouterr().err
+
+    def test_non_finite_theta(self, capsys):
+        for value in ("nan", "inf"):
+            assert cli.main(["symbol", COUNTEREXAMPLE, "--theta", value]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_tol_scale(self):
+        assert cli.main(["verify", COUNTEREXAMPLE, "--tol-scale", "nan"]) == 3

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_unit_vector
+from conftest import random_complex_matrix, random_unit_vector
 from toeprange.operators import (
     TAU,
     PeriodicBandedSpec,
@@ -22,6 +22,8 @@ from toeprange.operators import (
 from toeprange.ranges import (
     ConvexPolygon,
     RangeReport,
+    _batched_support,
+    _check_sweep_size,
     angular_resolution_gap,
     convex_hull,
     hausdorff_distance,
@@ -77,6 +79,47 @@ class TestSupportFunction:
             assert attained >= sample.support_value - 1e-9 * (
                 1 + abs(sample.support_value)
             )
+
+
+class TestBatchedSupport:
+    @pytest.mark.parametrize("phi_count", [8, 7, 721])
+    def test_matches_per_direction_reference(self, phi_count):
+        # Even grids fill direction j + P/2 from the solve at j; odd grids
+        # solve every direction.  Both must agree with support_function.
+        rng = np.random.default_rng(38)
+        mats = np.stack([random_complex_matrix(rng, 4) for _ in range(3)])
+        mats = np.concatenate([mats, np.diag([1.0, 1j, -1.0, 2.0])[None]])
+        tol = 1e-12 * (1.0 + np.max(np.abs(mats)))
+        phis = TAU * np.arange(phi_count) / phi_count
+        supports, points = _batched_support(mats, phi_count, want_points=True)
+        values_only, none = _batched_support(mats, phi_count, want_points=False)
+        assert none is None
+        assert np.max(np.abs(values_only - supports)) <= tol
+        for b, mat in enumerate(mats):
+            reference = [support_function(mat, phi).support_value for phi in phis]
+            assert np.max(np.abs(supports[b] - reference)) <= tol
+            attained = points[b, :, 0] * np.cos(phis) + points[b, :, 1] * np.sin(phis)
+            assert np.max(np.abs(attained - supports[b])) <= tol
+
+    def test_solves_half_the_directions_on_even_grids(self, monkeypatch):
+        solved = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name, solver):
+            def wrapped(h, *args, **kwargs):
+                solved[name] += int(np.prod(np.shape(h)[:-2]))
+                return solver(h, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        spec = counterexample_spec()
+        for theta_count, phi_count, expected in ((9, 41, 9 * 41), (9, 40, 9 * 20)):
+            solved["eigh"] = 0
+            report = operator_range(spec, theta_count, phi_count)
+            assert solved == {"eigh": expected, "eigvalsh": 0}
+        truncation_inclusion_check(spec, 12, report)
+        assert solved["eigvalsh"] == 20
 
 
 class TestMatrixNumericalRange:
@@ -198,6 +241,7 @@ class TestOperatorRange:
             (load_spec(SELFADJOINT_PERIOD3), 40, 40),
             (PeriodicBandedSpec(period=1, band=0, diagonals={0: [0.5 + 0.25j]}), 8, 8),
             (counterexample_spec(), 180, 180),
+            (counterexample_spec(), 90, 91),
         ]
         for spec, theta_count, phi_count in cases:
             report = operator_range(spec, theta_count, phi_count)
@@ -259,6 +303,18 @@ class TestOperatorRange:
             operator_range(counterexample_spec(), 0, 8)
         with pytest.raises(ValueError):
             operator_range(counterexample_spec(), 8, 2)
+
+    def test_oversized_sweep_refused_before_allocating(self):
+        # Raised from the estimate: a 2 x 10^13 sweep would need ~1.3 PB.
+        with pytest.raises(ValueError, match="cap"):
+            operator_range(counterexample_spec(), 2, 10**13)
+        with pytest.raises(ValueError, match="cap"):
+            selfadjoint_interval(free_jacobi_spec(), 10**13)
+        with pytest.raises(ValueError, match="cap"):
+            _check_sweep_size(4096, 720, 3)
+        # The grids of the tests, demos and benchmark stay admitted.
+        _check_sweep_size(16, 720, 720)
+        _check_sweep_size(1, 2000, 0)
 
 
 class TestSelfadjointInterval:
