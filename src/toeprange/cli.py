@@ -113,9 +113,28 @@ def _load(config: RunConfig) -> PeriodicBandedSpec:
     return load_spec(config.spec_path)
 
 
+# Stands in for a RangeReport while the rest of a document is encoded.
+_REPORT_MARK = "\x00range-report\x00"
+
+
 def _json(doc) -> str:
-    # Compact, so that json uses its C encoder (indent forces the Python one).
-    return json.dumps(doc) + "\n"
+    """Compact JSON, so that json uses its C encoder (indent forces the
+    Python one).  Each ``RangeReport`` in ``doc`` is encoded by its
+    row-chunked ``to_json`` and spliced in; the text is the same as that of
+    ``doc`` with the report replaced by ``report.to_dict()``."""
+    reports = []
+
+    def defer(obj):
+        if not isinstance(obj, RangeReport):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        reports.append(obj)
+        return _REPORT_MARK
+
+    parts = json.dumps(doc, default=defer).split(json.dumps(_REPORT_MARK))
+    pieces = parts[:1]
+    for report, part in zip(reports, parts[1:]):
+        pieces += [report.to_json(), part]
+    return "".join(pieces + ["\n"])
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -155,7 +174,7 @@ def _emit_range(spec: PeriodicBandedSpec, report: RangeReport, config: RunConfig
         )
         _write_output(figure, config.output_path)
     else:
-        _write_output(_json(report.to_dict()), config.output_path)
+        _write_output(_json(report), config.output_path)
 
 
 def cmd_range(config: RunConfig) -> int:
@@ -226,7 +245,10 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def counterexample_doc(config: RunConfig) -> tuple[dict, str]:
-    """Machine-readable counterexample pipeline report plus a summary."""
+    """Machine-readable counterexample pipeline report plus a summary.
+
+    The ``range_report`` value is the ``RangeReport`` itself, which ``_json``
+    encodes as ``RangeReport.to_dict`` would."""
     spec = counterexample_spec()
     report = operator_range(spec, config.theta_count, config.phi_count)
     vertices = report.polygon.vertices
@@ -245,7 +267,7 @@ def counterexample_doc(config: RunConfig) -> tuple[dict, str]:
     pipeline = nonrepresentability_report(config.direction_count)
     doc = {
         "kind": "counterexample-report",
-        "range_report": report.to_dict(),
+        "range_report": report,
         "quartic_residual_max": float(np.max(residuals)),
         "real_axis_extremes": [float(vertices[:, 0].min()), float(vertices[:, 0].max())],
         "ellipse_grid_residual": float(family_residual),

@@ -30,6 +30,9 @@ import numpy as np
 from .linalg import MATRIX_SIZE_CAP, max_norm
 
 TAU = 2.0 * math.pi
+# Specs storing more than this many entries, (2*band + 1) * period, are
+# refused before any per-offset array is allocated.
+SPEC_ENTRY_CAP = 1 << 19
 
 
 class SpecError(ValueError):
@@ -81,6 +84,12 @@ class PeriodicBandedSpec:
             )
         if not isinstance(self.band, (int, np.integer)) or self.band < 0:
             raise SpecError(f"band must be a nonnegative integer, got {self.band!r}")
+        entries = (2 * int(self.band) + 1) * int(self.period)
+        if entries > SPEC_ENTRY_CAP:
+            raise SpecError(
+                f"band {self.band} at period {self.period} stores {entries} entries, "
+                f"over the cap of {SPEC_ENTRY_CAP}"
+            )
         object.__setattr__(self, "period", int(self.period))
         object.__setattr__(self, "band", int(self.band))
         normalized: dict[int, np.ndarray] = {}
@@ -261,13 +270,10 @@ def c_mu(spec: PeriodicBandedSpec, s: int) -> np.ndarray:
     because ``mu >= 2m+1``."""
     mu = _check_replication(spec, s)
     out = np.zeros((mu, mu), dtype=complex)
-    for j in range(mu):
-        for k in range(mu):
-            base = k - j
-            u_lo = math.ceil((-spec.band - base) / mu)
-            u_hi = math.floor((spec.band - base) / mu)
-            for u in range(u_lo, u_hi + 1):
-                out[j, k] += spec.diagonal(base + u * mu)[j % spec.period]
+    rows = np.arange(mu)
+    for r in range(-spec.band, spec.band + 1):
+        # Offsets differ by at most 2m < mu, so no two share an entry.
+        out[rows, (rows + r) % mu] += spec.diagonal(r)[rows % spec.period]
     return out
 
 

@@ -17,6 +17,7 @@ Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,8 +36,12 @@ from .operators import (
 
 HULL_COLLINEARITY_RTOL = 1e-12
 HAUSDORFF_GRID = 720
-# Batched eigensolves are chunked to roughly this many matrix entries.
-_CHUNK_ENTRY_BUDGET = 2_000_000
+# Batched eigensolves are chunked to roughly this many matrix entries, so
+# each rotated, Hermitian or eigenvector stack stays within 4 MiB.
+_CHUNK_ENTRY_BUDGET = 1 << 18
+# Sample tables are serialized this many rows at a time, so only one chunk
+# of Python row objects exists besides the output text.
+_ROW_CHUNK = 8192
 # Sweeps whose symbol stack and sample arrays are estimated to need more
 # bytes than this are refused before anything is allocated.
 SWEEP_BYTE_CAP = 1 << 30
@@ -96,11 +101,16 @@ class ConvexPolygon:
         return np.max(self.vertices @ directions, axis=0)
 
     def diameter(self, grid: int = HAUSDORFF_GRID) -> float:
+        """Largest vertex distance; exact up to 256 vertices, otherwise an
+        upper bound from the widths on a ``grid`` of directions."""
         if self.vertices.shape[0] <= 256:
             diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
             return float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
         phis = TAU * np.arange(grid) / grid
-        return float(np.max(self.support(phis) + self.support(phis + math.pi)))
+        width = np.max(self.support(phis) + self.support(phis + math.pi))
+        # Some grid direction lies within pi/grid of the diameter's, and the
+        # width there is at least diameter * cos(pi/grid).
+        return float(width) / math.cos(math.pi / grid)
 
     def violation(self, point) -> float:
         """Signed distance outside the region (<= 0 means inside)."""
@@ -129,20 +139,31 @@ class RangeReport:
     phi_count: int
     residual_summary: dict[str, float] = field(default_factory=dict)
 
-    def _sample_rows(self) -> list[list[float]]:
-        """Samples as Python float rows in ``SAMPLE_DTYPE`` field order."""
-        columns = [self.samples[name] for name in SAMPLE_DTYPE.names]
-        return np.column_stack(columns).tolist()
+    def _row_chunks(self):
+        """Samples as (k, 5) float arrays of at most ``_ROW_CHUNK`` rows, in
+        ``SAMPLE_DTYPE`` field order."""
+        for start in range(0, self.samples.shape[0], _ROW_CHUNK):
+            yield _sample_rows(self.samples[start : start + _ROW_CHUNK])
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
+        """``to_dict`` without its final ``samples`` entry."""
         return {
             "kind": "range-report",
             "theta_count": self.theta_count,
             "phi_count": self.phi_count,
             "residual_summary": {k: float(v) for k, v in self.residual_summary.items()},
             "polygon": self.polygon.vertices.tolist(),
-            "samples": self._sample_rows(),
         }
+
+    def to_dict(self) -> dict:
+        return {**self._header(), "samples": _sample_rows(self.samples).tolist()}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict())``, with the sample table encoded one
+        row chunk at a time instead of as one list of row lists."""
+        head = json.dumps({**self._header(), "samples": []})
+        rows = (json.dumps(chunk.tolist())[1:-1] for chunk in self._row_chunks())
+        return "".join([head[: -len("]}")], ", ".join(rows), "]}"])
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RangeReport":
@@ -164,8 +185,15 @@ class RangeReport:
 
     def flat_table(self) -> str:
         row_format = " ".join(["%.17g"] * len(SAMPLE_DTYPE)) + "\n"
-        rows = "".join(row_format % tuple(row) for row in self._sample_rows())
-        return " ".join(SAMPLE_DTYPE.names) + "\n" + rows
+        pieces = [" ".join(SAMPLE_DTYPE.names) + "\n"]
+        for chunk in self._row_chunks():
+            pieces.append((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        return "".join(pieces)
+
+
+def _sample_rows(samples: np.ndarray) -> np.ndarray:
+    """Structured samples as a (k, 5) float array in ``SAMPLE_DTYPE`` order."""
+    return np.column_stack([samples[name] for name in SAMPLE_DTYPE.names])
 
 
 def _hull_tolerance(pts: np.ndarray) -> float:

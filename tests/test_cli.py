@@ -2,8 +2,11 @@
 
 import json
 import os
+import time
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from toeprange import cli
 from toeprange.operators import counterexample_spec, spec_to_doc, symbol, validate_spec
@@ -54,6 +57,14 @@ class TestValidate:
         assert cli.main(["validate", path]) == 3
         assert "exceeds the dense size cap" in capsys.readouterr().err
 
+    def test_oversized_band_refused(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"period": 1, "band": 300000, "diagonals": {}})
+        start = time.perf_counter()
+        assert cli.main(["validate", path]) == 3
+        assert time.perf_counter() - start < 0.5
+        captured = capsys.readouterr()
+        assert "over the cap" in captured.err and captured.out == ""
+
     def test_output_mode_honours_umask(self, tmp_path):
         out = tmp_path / "echo.json"
         previous = os.umask(0o022)
@@ -93,6 +104,22 @@ class TestRange:
         assert code == 0
         library = operator_range(counterexample_spec(), 20, 30).to_dict()
         assert json.loads(out.read_text()) == library
+
+    @pytest.mark.parametrize("fmt", ["report-doc", "flat-table"])
+    def test_serialization_working_set(self, tmp_path, fmt):
+        # The output text and a copy of it, the 32,400 samples (1.3 MB) and
+        # one row chunk; a list of every row would exceed the bound.
+        out = tmp_path / "report"
+        args = ["range", COUNTEREXAMPLE, "--theta-count", "180", "--phi-count", "180",
+                "--format", fmt, "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = 180 * 180 * 40
+        assert peak < 2 * out.stat().st_size + samples + 4 * 2**20
 
     def test_flat_table_deterministic(self, tmp_path):
         args = ["range", COUNTEREXAMPLE, "--theta-count", "18", "--phi-count", "18",
@@ -230,6 +257,20 @@ class TestCounterexample:
         range_report, pipeline = cli.parse_counterexample_doc(doc)
         assert range_report.theta_count == 90
         assert not pipeline.verdict.hyperbolic
+
+    def test_report_file_is_the_dict_encoding(self, tmp_path):
+        out = tmp_path / "report.json"
+        args = ["--theta-count", "30", "--phi-count", "40", "--direction-count", "16"]
+        assert cli.main(["counterexample", *args, "--out", str(out)]) == 0
+        doc, _ = cli.counterexample_doc(
+            cli.RunConfig(command="counterexample", theta_count=30, phi_count=40,
+                          direction_count=16)
+        )
+        report = doc["range_report"]
+        text = out.read_text()
+        assert text == json.dumps({**doc, "range_report": report.to_dict()}) + "\n"
+        parsed, _ = cli.parse_counterexample_doc(json.loads(text))
+        assert np.array_equal(parsed.samples, report.samples)
 
     def test_refinement_shrinks_quartic_residual(self):
         coarse, _ = cli.counterexample_doc(

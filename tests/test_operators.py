@@ -8,6 +8,7 @@ import pytest
 from conftest import random_spec_with_s
 from toeprange.linalg import eigh, max_norm
 from toeprange.operators import (
+    SPEC_ENTRY_CAP,
     TAU,
     PeriodicBandedSpec,
     SpecError,
@@ -56,6 +57,16 @@ class TestSpecValidation:
         spec = PeriodicBandedSpec(period=2, band=2, diagonals={1: [1.0, 1.0]})
         for r in (-2, -1, 0, 2):
             assert np.array_equal(spec.diagonal(r), np.zeros(2))
+
+    def test_stored_entry_cap(self):
+        # (2 * band + 1) * period stored entries, checked before allocating.
+        PeriodicBandedSpec(period=1, band=(SPEC_ENTRY_CAP - 1) // 2)
+        with pytest.raises(SpecError, match="cap"):
+            PeriodicBandedSpec(period=1, band=SPEC_ENTRY_CAP // 2)
+        with pytest.raises(SpecError, match="cap"):
+            validate_spec({"period": 4096, "band": 64})
+        with pytest.raises(SpecError, match="cap"):
+            validate_spec({"period": 1, "band": 10**12})
 
     def test_zero_operator_allowed(self):
         spec = PeriodicBandedSpec(period=2, band=1, diagonals={})
@@ -280,6 +291,30 @@ class TestCMu:
                 },
             )
             assert np.array_equal(c_mu(spec, s), symbol(tiled, 0.0))
+
+    @staticmethod
+    def loop_reference(spec, s):
+        """Entry by entry: (j, k) sums the band entries at offsets
+        k - j + u*mu over all integers u."""
+        mu = s * spec.period
+        out = np.zeros((mu, mu), dtype=complex)
+        for j in range(mu):
+            for k in range(mu):
+                base = k - j
+                u_lo = math.ceil((-spec.band - base) / mu)
+                u_hi = math.floor((spec.band - base) / mu)
+                for u in range(u_lo, u_hi + 1):
+                    out[j, k] += spec.diagonal(base + u * mu)[j % spec.period]
+        return out
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(20)
+        for _ in range(12):
+            spec, s = random_spec_with_s(rng)
+            assert np.array_equal(c_mu(spec, s), self.loop_reference(spec, s))
+        spec = random_spec(np.random.default_rng(21), 8, 4)
+        for s in (4, 8, 16):  # mu = 32, 64, 128
+            assert np.array_equal(c_mu(spec, s), self.loop_reference(spec, s))
 
     def test_preconditions(self):
         spec = counterexample_spec()

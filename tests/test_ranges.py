@@ -1,12 +1,15 @@
 """Support sweeps, convex hulls, and range assembly."""
 
+import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_complex_matrix, random_unit_vector
+from toeprange import ranges
 from toeprange.operators import (
     TAU,
     PeriodicBandedSpec,
@@ -203,6 +206,24 @@ class TestHausdorff:
         assert abs(hausdorff_distance(point, square) - math.hypot(2, 1)) <= 1e-2
 
 
+class TestDiameter:
+    def test_upper_bound_on_many_vertices(self):
+        # A thin ellipse whose major axis lies midway between two of the
+        # 720 grid directions; its diameter 2 sits between vertices 0 and 150.
+        t = TAU * np.arange(300) / 300
+        x, y = np.cos(t), 1e-3 * np.sin(t)
+        a = math.pi / 720
+        vertices = np.stack(
+            [x * math.cos(a) - y * math.sin(a), x * math.sin(a) + y * math.cos(a)], axis=1
+        )
+        diffs = vertices[:, None, :] - vertices[None, :, :]
+        exact = float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
+        got = ConvexPolygon(vertices).diameter()
+        # An upper bound up to rounding, and within the grid factor of exact.
+        assert got >= exact * (1 - 4 * np.finfo(float).eps)
+        assert got <= exact / math.cos(math.pi / 720) * (1 + 4 * np.finfo(float).eps)
+
+
 class TestOperatorRange:
     def test_counterexample_vertices_on_quartic(self):
         from toeprange.curves import boundary_quartic, evaluate_form
@@ -304,6 +325,18 @@ class TestOperatorRange:
         with pytest.raises(ValueError):
             operator_range(counterexample_spec(), 8, 2)
 
+    def test_sweep_working_set(self):
+        # Eigensolve stacks of 2^18 entries take 4 MiB each and the 64,800
+        # samples 2.6 MB; stacks of 2,000,000 entries would exceed the bound.
+        spec = random_spec(np.random.default_rng(0), 8, 4)
+        tracemalloc.start()
+        try:
+            operator_range(spec, 90, 720)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_oversized_sweep_refused_before_allocating(self):
         # Raised from the estimate: a 2 x 10^13 sweep would need ~1.3 PB.
         with pytest.raises(ValueError, match="cap"):
@@ -395,6 +428,18 @@ class TestRangeReport:
 
     def test_flat_table_matches_row_formatting(self):
         report = operator_range(counterexample_spec(), 9, 11)
+        names = ("theta", "phi", "support_value", "x", "y")
+        reference = ["theta phi support_value x y"] + [
+            " ".join(f"{float(row[name]):.17g}" for name in names) for row in report.samples
+        ]
+        assert report.flat_table() == "\n".join(reference) + "\n"
+
+    @pytest.mark.parametrize("n_samples", [0, 1, 3, 4, 5, 9])
+    def test_chunked_writers_match_references(self, monkeypatch, n_samples):
+        monkeypatch.setattr(ranges, "_ROW_CHUNK", 4)
+        report = operator_range(counterexample_spec(), 3, 4)
+        report.samples = report.samples[:n_samples]
+        assert report.to_json() == json.dumps(report.to_dict())
         names = ("theta", "phi", "support_value", "x", "y")
         reference = ["theta phi support_value x y"] + [
             " ".join(f"{float(row[name]):.17g}" for name in names) for row in report.samples
