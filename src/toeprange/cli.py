@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: validate, symbol, range, interval, verify, counterexample,
-plot.  Operator spec files are JSON documents with integer ``period``,
+plot (``range --format svg`` with six overlays).  Handlers read the parsed
+``argparse.Namespace`` directly.  Operator spec files are JSON documents with integer ``period``,
 integer ``band`` and a ``diagonals`` map from offset strings to arrays of
 entries (bare reals or ``[re, im]`` pairs).
 
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .operators import (
     spec_to_doc,
     spectrum_match_gap,
     symbol,
-    symbol_batch,
 )
 from .ranges import (
     RangeReport,
@@ -61,21 +60,6 @@ EXIT_IO = 4
 EXIT_TOLERANCE = 5
 
 FORMATS = ("report-doc", "flat-table", "svg")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: str | None = None
-    theta: float = 0.0
-    theta_count: int = 720
-    phi_count: int = 720
-    s_values: list[int] = field(default_factory=list)
-    direction_count: int = 720
-    overlay_thetas: int = 0
-    tol_scale: float = 1.0
-    output_path: str | None = None
-    format: str = "report-doc"
 
 
 class OutputError(RuntimeError):
@@ -107,12 +91,6 @@ def _write_output(text: str, path: str | None) -> None:
         raise OutputError(str(exc)) from exc
 
 
-def _load(config: RunConfig) -> PeriodicBandedSpec:
-    if config.spec_path is None:
-        raise SpecError("a spec file is required for this command")
-    return load_spec(config.spec_path)
-
-
 # Stands in for a RangeReport while the rest of a document is encoded.
 _REPORT_MARK = "\x00range-report\x00"
 
@@ -137,83 +115,71 @@ def _json(doc) -> str:
     return "".join(pieces + ["\n"])
 
 
-def cmd_validate(config: RunConfig) -> int:
-    spec = _load(config)
-    _write_output(_json(spec_to_doc(spec)), config.output_path)
+def cmd_validate(args: argparse.Namespace) -> int:
+    _write_output(_json(spec_to_doc(load_spec(args.spec))), args.out)
     return EXIT_OK
 
 
-def cmd_symbol(config: RunConfig) -> int:
-    spec = _load(config)
-    matrix = symbol(spec, config.theta)
+def cmd_symbol(args: argparse.Namespace) -> int:
+    spec = load_spec(args.spec)
+    matrix = symbol(spec, args.theta)
     doc = {
         "kind": "symbol",
-        "theta": config.theta,
+        "theta": args.theta,
         "period": spec.period,
         "matrix": [[[z.real, z.imag] for z in row] for row in matrix],
     }
-    _write_output(_json(doc), config.output_path)
+    _write_output(_json(doc), args.out)
     return EXIT_OK
 
 
-def _overlay_polygons(spec: PeriodicBandedSpec, config: RunConfig):
+def _overlay_polygons(spec: PeriodicBandedSpec, count: int, phi_count: int):
     overlays = []
-    for j in range(config.overlay_thetas):
-        theta = TAU * j / config.overlay_thetas
-        poly = matrix_numerical_range(symbol_batch(spec, [theta])[0], config.phi_count)
+    for j in range(count):
+        theta = TAU * j / count
+        poly = matrix_numerical_range(symbol(spec, theta), phi_count)
         overlays.append((f"theta={theta:.6f}", poly.vertices))
     return overlays
 
 
-def _emit_range(spec: PeriodicBandedSpec, report: RangeReport, config: RunConfig) -> None:
-    if config.format == "flat-table":
-        _write_output(report.flat_table(), config.output_path)
-    elif config.format == "svg":
-        figure = svg.range_figure(
-            report.polygon.vertices, overlays=_overlay_polygons(spec, config)
-        )
-        _write_output(figure, config.output_path)
+def cmd_range(args: argparse.Namespace) -> int:
+    spec = load_spec(args.spec)
+    report = operator_range(spec, args.theta_count, args.phi_count)
+    if args.format == "flat-table":
+        text = report.flat_table()
+    elif args.format == "svg":
+        overlays = _overlay_polygons(spec, args.overlay_thetas, args.phi_count)
+        text = svg.range_figure(report.polygon.vertices, overlays=overlays)
     else:
-        _write_output(_json(report), config.output_path)
-
-
-def cmd_range(config: RunConfig) -> int:
-    spec = _load(config)
-    report = operator_range(spec, config.theta_count, config.phi_count)
-    _emit_range(spec, report, config)
+        text = _json(report)
+    _write_output(text, args.out)
     return EXIT_OK
 
 
-def cmd_plot(config: RunConfig) -> int:
-    config.format = "svg"
-    return cmd_range(config)
-
-
-def cmd_interval(config: RunConfig) -> int:
-    spec = _load(config)
-    a, b = selfadjoint_interval(spec, config.theta_count)
-    doc = {"kind": "interval", "theta_count": config.theta_count, "a": a, "b": b}
-    _write_output(_json(doc), config.output_path)
+def cmd_interval(args: argparse.Namespace) -> int:
+    a, b = selfadjoint_interval(load_spec(args.spec), args.theta_count)
+    doc = {"kind": "interval", "theta_count": args.theta_count, "a": a, "b": b}
+    _write_output(_json(doc), args.out)
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    spec = _load(config)
-    s_values = config.s_values or [3, 4, 6]
+def cmd_verify(args: argparse.Namespace) -> int:
+    spec = load_spec(args.spec)
+    s_values = args.s_values or [3, 4, 6]
     for s in s_values:
         if s < 2 or s * spec.period < 2 * spec.band + 1:
             raise SpecError(
                 f"s={s} violates the precondition s(n+1) >= 2m+1 "
                 f"({s * spec.period} < {2 * spec.band + 1})"
             )
-    report = operator_range(spec, config.theta_count, config.phi_count)
+    report = operator_range(spec, args.theta_count, args.phi_count)
     scale = 1.0 + spec.max_entry()
-    block_tol = 1e-10 * scale * config.tol_scale
-    spectrum_tol = 1e-8 * config.tol_scale
-    lift_tol = 1e-8 * config.tol_scale
+    block_tol = 1e-10 * scale * args.tol_scale
+    spectrum_tol = 1e-8 * args.tol_scale
+    lift_tol = 1e-8 * args.tol_scale
     inclusion_tol = (
-        angular_resolution_gap(report.polygon, config.phi_count) + 1e-8
-    ) * config.tol_scale
+        angular_resolution_gap(report.polygon, args.phi_count) + 1e-8
+    ) * args.tol_scale
 
     columns = (
         "s block_residual spectrum_gap lift_residual inclusion_excess status"
@@ -240,17 +206,19 @@ def cmd_verify(config: RunConfig) -> int:
         "tolerances "
         f"{_fmt(block_tol)} {_fmt(spectrum_tol)} {_fmt(lift_tol)} {_fmt(inclusion_tol)}"
     )
-    _write_output("\n".join(lines) + "\n", config.output_path)
+    _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_ok else EXIT_TOLERANCE
 
 
-def counterexample_doc(config: RunConfig) -> tuple[dict, str]:
+def counterexample_doc(
+    *, theta_count: int, phi_count: int, direction_count: int
+) -> tuple[dict, str]:
     """Machine-readable counterexample pipeline report plus a summary.
 
     The ``range_report`` value is the ``RangeReport`` itself, which ``_json``
     encodes as ``RangeReport.to_dict`` would."""
     spec = counterexample_spec()
-    report = operator_range(spec, config.theta_count, config.phi_count)
+    report = operator_range(spec, theta_count, phi_count)
     vertices = report.polygon.vertices
     quartic = boundary_quartic()
     residuals = np.abs(
@@ -264,7 +232,7 @@ def counterexample_doc(config: RunConfig) -> tuple[dict, str]:
         abs(envelope_residual(family, -2.5, 0.0)),
         abs(envelope_residual(family, 0.5, 0.0)),
     )
-    pipeline = nonrepresentability_report(config.direction_count)
+    pipeline = nonrepresentability_report(direction_count)
     doc = {
         "kind": "counterexample-report",
         "range_report": report,
@@ -277,7 +245,7 @@ def counterexample_doc(config: RunConfig) -> tuple[dict, str]:
     summary = "\n".join(
         [
             f"range polygon: {vertices.shape[0]} vertices at "
-            f"{config.theta_count}x{config.phi_count} resolution",
+            f"{theta_count}x{phi_count} resolution",
             f"max normalized boundary quartic residual: {_fmt(doc['quartic_residual_max'])}",
             "real axis extremes: "
             f"{_fmt(doc['real_axis_extremes'][0])} .. {_fmt(doc['real_axis_extremes'][1])}",
@@ -302,23 +270,16 @@ def parse_counterexample_doc(doc: dict) -> tuple[RangeReport, Nonrepresentabilit
     )
 
 
-def cmd_counterexample(config: RunConfig) -> int:
-    doc, summary = counterexample_doc(config)
+def cmd_counterexample(args: argparse.Namespace) -> int:
+    doc, summary = counterexample_doc(
+        theta_count=args.theta_count,
+        phi_count=args.phi_count,
+        direction_count=args.direction_count,
+    )
     print(summary)
-    if config.output_path is not None:
-        _write_output(_json(doc), config.output_path)
+    if args.out is not None:
+        _write_output(_json(doc), args.out)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "symbol": cmd_symbol,
-    "range": cmd_range,
-    "interval": cmd_interval,
-    "verify": cmd_verify,
-    "counterexample": cmd_counterexample,
-    "plot": cmd_plot,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,91 +289,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_required=True, sweep=True):
-        if spec_required:
+    def add_command(name, handler, help_text, spec=True, sweep=True):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if spec:
             p.add_argument("spec", help="operator spec file (JSON)")
         if sweep:
             p.add_argument("--theta-count", type=int, default=720)
             p.add_argument("--phi-count", type=int, default=720)
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("validate", help="normalize and echo a spec file")
-    add_common(p, sweep=False)
+    add_command("validate", cmd_validate, "normalize and echo a spec file", sweep=False)
 
-    p = sub.add_parser("symbol", help="evaluate the symbol matrix at an angle")
-    add_common(p, sweep=False)
+    p = add_command("symbol", cmd_symbol, "evaluate the symbol matrix at an angle",
+                    sweep=False)
     p.add_argument("--theta", type=float, default=0.0)
 
-    p = sub.add_parser("range", help="compute the operator range closure")
-    add_common(p)
+    p = add_command("range", cmd_range, "compute the operator range closure")
     p.add_argument("--format", choices=FORMATS, default="report-doc")
     p.add_argument("--overlay-thetas", type=int, default=0)
 
-    p = sub.add_parser("interval", help="selfadjoint range interval [a, b]")
-    add_common(p)
+    p = add_command("interval", cmd_interval, "selfadjoint range interval [a, b]",
+                    sweep=False)
+    p.add_argument("--theta-count", type=int, default=720)
 
-    p = sub.add_parser("verify", help="structural identity checks")
-    add_common(p)
+    p = add_command("verify", cmd_verify, "structural identity checks")
     p.add_argument(
         "--s", type=int, action="append", dest="s_values",
         help="replication count; repeatable (default 3 4 6)",
     )
     p.add_argument("--tol-scale", type=float, default=1.0)
 
-    p = sub.add_parser(
-        "counterexample",
-        help="full envelope/duality/hyperbolicity pipeline for the bundled "
+    p = add_command(
+        "counterexample", cmd_counterexample,
+        "full envelope/duality/hyperbolicity pipeline for the bundled "
         "2-periodic 5-banded operator",
+        spec=False,
     )
-    add_common(p, spec_required=False)
     p.add_argument("--direction-count", type=int, default=720)
 
-    p = sub.add_parser("plot", help="render the range closure as SVG")
-    add_common(p)
+    p = add_command("plot", cmd_range, "render the range closure as SVG")
+    p.set_defaults(format="svg")
     p.add_argument("--overlay-thetas", type=int, default=6)
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for name in (
-        "theta",
-        "theta_count",
-        "phi_count",
-        "direction_count",
-        "overlay_thetas",
-        "tol_scale",
-    ):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    config.spec_path = getattr(args, "spec", None)
-    config.output_path = getattr(args, "out", None)
-    config.format = getattr(args, "format", "report-doc")
-    config.s_values = list(getattr(args, "s_values", None) or [])
-    if config.theta_count < 1:
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse option values no command can use, before any work starts."""
+    if getattr(args, "theta_count", 1) < 1:
         raise SpecError("theta-count must be >= 1")
-    if config.phi_count < 3:
+    if getattr(args, "phi_count", 3) < 3:
         raise SpecError("phi-count must be >= 3")
-    if config.overlay_thetas < 0:
+    if getattr(args, "overlay_thetas", 0) < 0:
         raise SpecError("overlay-thetas must be >= 0")
-    if config.direction_count < 1:
+    if getattr(args, "direction_count", 1) < 1:
         raise SpecError("direction-count must be >= 1")
-    if not np.isfinite(config.theta):
+    if not np.isfinite(getattr(args, "theta", 0.0)):
         raise SpecError("theta must be finite")
-    if not np.isfinite(config.tol_scale):
+    if not np.isfinite(getattr(args, "tol_scale", 1.0)):
         raise SpecError("tol-scale must be finite")
-    return config
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        return _HANDLERS[args.command](config)
+        _check_args(args)
+        return args.handler(args)
     except OutputError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (json.JSONDecodeError, OSError) as exc:
+    except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except SpecError as exc:

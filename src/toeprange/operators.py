@@ -76,22 +76,27 @@ class PeriodicBandedSpec:
     diagonals: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.period, (int, np.integer)) or self.period < 1:
+        for name in ("period", "band"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SpecError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.period < 1:
             raise SpecError(f"period must be a positive integer, got {self.period!r}")
         if self.period > MATRIX_SIZE_CAP:
             raise SpecError(
                 f"period {self.period} exceeds the dense size cap {MATRIX_SIZE_CAP}"
             )
-        if not isinstance(self.band, (int, np.integer)) or self.band < 0:
+        if self.band < 0:
             raise SpecError(f"band must be a nonnegative integer, got {self.band!r}")
-        entries = (2 * int(self.band) + 1) * int(self.period)
+        entries = (2 * self.band + 1) * self.period
         if entries > SPEC_ENTRY_CAP:
             raise SpecError(
                 f"band {self.band} at period {self.period} stores {entries} entries, "
                 f"over the cap of {SPEC_ENTRY_CAP}"
             )
-        object.__setattr__(self, "period", int(self.period))
-        object.__setattr__(self, "band", int(self.band))
         normalized: dict[int, np.ndarray] = {}
         for key, seq in dict(self.diagonals).items():
             offset = int(key)
@@ -139,12 +144,9 @@ def validate_spec(raw) -> PeriodicBandedSpec:
     if not isinstance(raw, dict):
         raise SpecError(f"expected a mapping with period/band/diagonals, got {type(raw)}")
     try:
-        period = int(raw["period"])
-        band = int(raw["band"])
+        period, band = raw["period"], raw["band"]
     except KeyError as exc:
         raise SpecError(f"missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"period/band must be integers: {exc}") from exc
     diagonals_raw = raw.get("diagonals", {})
     if not isinstance(diagonals_raw, dict):
         raise SpecError("diagonals must be a mapping from offset to entry array")
@@ -171,8 +173,14 @@ def spec_to_doc(spec: PeriodicBandedSpec) -> dict:
 
 
 def load_spec(path) -> PeriodicBandedSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read and validate a spec file.  A file that cannot be read or parsed
+    (invalid UTF-8, malformed JSON, nesting deeper than the parser's stack)
+    raises ``OSError``; a document that is not a valid spec ``SpecError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise OSError(f"{path}: {exc}") from exc
     return validate_spec(doc)
 
 
@@ -223,28 +231,13 @@ def symbol(spec: PeriodicBandedSpec, theta: float) -> np.ndarray:
     Entry ``(j, k)`` sums ``exp(i u theta) * a_j^{(k - j + u(n+1))}`` over
     the finitely many integers ``u`` that keep the offset inside the band.
     """
-    d = spec.period
-    theta = math.remainder(float(theta), TAU)
-    out = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            base = k - j
-            u_lo = math.ceil((-spec.band - base) / d)
-            u_hi = math.floor((spec.band - base) / d)
-            acc = 0.0 + 0.0j
-            for u in range(u_lo, u_hi + 1):
-                coeff = spec.diagonal(base + u * d)[j]
-                if coeff != 0.0:
-                    acc += coeff * complex(math.cos(u * theta), math.sin(u * theta))
-            out[j, k] = acc
-    return out
+    return symbol_batch(spec, [theta])[0]
 
 
 def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
     """Stack of symbols, shape ``(len(thetas), n+1, n+1)``.
 
-    Same values as ``symbol`` called pointwise, organized for vectorized
-    sweeps: the symbol is assembled as a finite Fourier sum
+    The symbol is assembled as a finite Fourier sum
     ``sum_u A_u exp(i u theta)`` with constant harmonic matrices ``A_u``.
     """
     d = spec.period

@@ -393,17 +393,16 @@ def selfadjoint_interval(
     spec: PeriodicBandedSpec, theta_count: int = 720
 ) -> tuple[float, float]:
     """Endpoints [a, b] of the range closure of a selfadjoint operator:
-    extreme eigenvalues of the symbol over a uniform ``theta`` grid."""
+    extreme eigenvalues of the symbol over a uniform ``theta`` grid, read
+    off the supports in the directions 0 and pi."""
     if theta_count < 1:
         raise ValueError("theta_count must be >= 1")
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
     _check_sweep_size(spec.period, theta_count, 0)
     thetas = TAU * np.arange(theta_count) / theta_count
-    symbols = symbol_batch(spec, thetas)
-    hermitized = 0.5 * (symbols + np.conj(np.swapaxes(symbols, -1, -2)))
-    values = linalg.hermitian_solve(np.linalg.eigvalsh, hermitized)
-    return float(np.min(values[:, 0])), float(np.max(values[:, -1]))
+    supports, _ = _batched_support(symbol_batch(spec, thetas), 2, want_points=False)
+    return -float(np.max(supports[:, 1])), float(np.max(supports[:, 0]))
 
 
 def truncation_inclusion_check(

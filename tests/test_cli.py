@@ -46,6 +46,25 @@ class TestValidate:
         path.write_text("{not json", encoding="utf-8")
         assert cli.main(["validate", str(path)]) == 2
 
+    def test_invalid_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b'{"period": 1, "band": 0, "diagonals": {"0": [1]}}\xff')
+        assert cli.main(["validate", str(path)]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert cli.main(["validate", str(path)]) == 2
+        assert "cannot read input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("period", 2.7), ("period", True), ("band", "1")])
+    def test_non_integer_period_or_band(self, tmp_path, capsys, field, value):
+        path = write_spec(tmp_path, {"period": 2, "band": 1, "diagonals": {}, field: value})
+        assert cli.main(["validate", path]) == 3
+        captured = capsys.readouterr()
+        assert f"{field} must be an integer" in captured.err and captured.out == ""
+
     def test_echo_is_normalized(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"period": 2, "band": 2, "diagonals": {"1": [-1, 2]}})
         assert cli.main(["validate", path]) == 0
@@ -203,6 +222,12 @@ class TestInterval:
         assert cli.main(["interval", COUNTEREXAMPLE, "--theta-count", "8"]) == 3
         assert "selfadjoint" in capsys.readouterr().err
 
+    def test_phi_count_not_accepted(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["interval", FREE_JACOBI, "--phi-count", "2"])
+        assert exc.value.code == 2
+        assert "--phi-count" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_counterexample_passes(self, capsys):
@@ -262,10 +287,7 @@ class TestCounterexample:
         out = tmp_path / "report.json"
         args = ["--theta-count", "30", "--phi-count", "40", "--direction-count", "16"]
         assert cli.main(["counterexample", *args, "--out", str(out)]) == 0
-        doc, _ = cli.counterexample_doc(
-            cli.RunConfig(command="counterexample", theta_count=30, phi_count=40,
-                          direction_count=16)
-        )
+        doc, _ = cli.counterexample_doc(theta_count=30, phi_count=40, direction_count=16)
         report = doc["range_report"]
         text = out.read_text()
         assert text == json.dumps({**doc, "range_report": report.to_dict()}) + "\n"
@@ -273,14 +295,8 @@ class TestCounterexample:
         assert np.array_equal(parsed.samples, report.samples)
 
     def test_refinement_shrinks_quartic_residual(self):
-        coarse, _ = cli.counterexample_doc(
-            cli.RunConfig(command="counterexample", theta_count=120, phi_count=120,
-                          direction_count=16)
-        )
-        fine, _ = cli.counterexample_doc(
-            cli.RunConfig(command="counterexample", theta_count=360, phi_count=360,
-                          direction_count=16)
-        )
+        coarse, _ = cli.counterexample_doc(theta_count=120, phi_count=120, direction_count=16)
+        fine, _ = cli.counterexample_doc(theta_count=360, phi_count=360, direction_count=16)
         assert fine["quartic_residual_max"] < coarse["quartic_residual_max"]
 
 
@@ -325,6 +341,14 @@ class TestEigensolverFailure:
         assert code != cli.EXIT_INVARIANT
         assert code == 1
         assert "eigensolver did not converge" in capsys.readouterr().err
+
+    def test_recursion_error_after_reading_is_not_a_read_error(self, monkeypatch, capsys):
+        def overflow(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "operator_range", overflow)
+        assert cli.main(["range", COUNTEREXAMPLE, "--theta-count", "4"]) == 1
+        assert "cannot read input" not in capsys.readouterr().err
 
 
 class TestConfigValidation:

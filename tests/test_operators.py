@@ -68,6 +68,19 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="cap"):
             validate_spec({"period": 1, "band": 10**12})
 
+    @pytest.mark.parametrize("value", [2.7, "2", True, math.nan, None])
+    def test_non_integer_period_or_band_rejected(self, value):
+        for field in ("period", "band"):
+            with pytest.raises(SpecError, match=f"{field} must be an integer"):
+                validate_spec({"period": 2, "band": 1, field: value})
+            with pytest.raises(SpecError, match=f"{field} must be an integer"):
+                PeriodicBandedSpec(**{"period": 2, "band": 1, field: value})
+
+    def test_integral_period_and_band_accepted(self):
+        spec = validate_spec({"period": 2.0, "band": np.int64(1)})
+        assert (spec.period, spec.band) == (2, 1)
+        assert type(spec.period) is int and type(spec.band) is int
+
     def test_zero_operator_allowed(self):
         spec = PeriodicBandedSpec(period=2, band=1, diagonals={})
         assert spec.max_entry() == 0.0
@@ -224,13 +237,32 @@ class TestSymbol:
             gap = max_norm(symbol(spec, theta) - symbol(spec, theta + TAU))
             assert gap <= 1e-14 * (1 + spec.max_entry())
 
+    @staticmethod
+    def loop_reference(spec, theta):
+        """Entry by entry: (j, k) sums exp(i u theta) * a_j^(k - j + u(n+1))
+        over the integers u that keep the offset inside the band."""
+        d = spec.period
+        theta = math.remainder(float(theta), TAU)
+        out = np.zeros((d, d), dtype=complex)
+        for j in range(d):
+            for k in range(d):
+                base = k - j
+                u_lo = math.ceil((-spec.band - base) / d)
+                u_hi = math.floor((spec.band - base) / d)
+                for u in range(u_lo, u_hi + 1):
+                    coeff = spec.diagonal(base + u * d)[j]
+                    out[j, k] += coeff * complex(math.cos(u * theta), math.sin(u * theta))
+        return out
+
     def test_batch_matches_pointwise(self):
         rng = np.random.default_rng(16)
         spec = random_spec(rng, 4, 3)
         thetas = rng.uniform(-5, 5, 15)
         batch = symbol_batch(spec, thetas)
         for i, theta in enumerate(thetas):
-            assert max_norm(batch[i] - symbol(spec, theta)) < 1e-13
+            want = self.loop_reference(spec, theta)
+            assert max_norm(batch[i] - want) < 1e-13
+            assert max_norm(symbol(spec, theta) - want) < 1e-13
 
     def test_hermitian_transfer(self):
         rng = np.random.default_rng(17)

@@ -376,6 +376,13 @@ class TestSelfadjointInterval:
         with pytest.raises(SpecError):
             selfadjoint_interval(counterexample_spec(), 16)
 
+    def test_chunked_solve_gives_equal_endpoints(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        specs = [free_jacobi_spec(), random_spec(rng, 5, 3, selfadjoint=True)]
+        whole = [selfadjoint_interval(spec, 97) for spec in specs]
+        monkeypatch.setattr(ranges, "_CHUNK_ENTRY_BUDGET", 16)
+        assert [selfadjoint_interval(spec, 97) for spec in specs] == whole
+
 
 class TestTruncationInclusion:
     def test_counterexample_inclusion(self):
