@@ -36,6 +36,7 @@ from .operators import (
     TAU,
     PeriodicBandedSpec,
     SpecError,
+    _check_replication,
     block_diagonalization_residual,
     counterexample_spec,
     lifting_residual_max,
@@ -71,12 +72,14 @@ def _fmt(value: float) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
     tmp_path = None
     try:
+        if path is None:
+            # Flush here, so a failed write raises inside this try.
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        directory = os.path.dirname(os.path.abspath(path))
         handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".toeprange-")
         with os.fdopen(handle, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -91,28 +94,10 @@ def _write_output(text: str, path: str | None) -> None:
         raise OutputError(str(exc)) from exc
 
 
-# Stands in for a RangeReport while the rest of a document is encoded.
-_REPORT_MARK = "\x00range-report\x00"
-
-
 def _json(doc) -> str:
     """Compact JSON, so that json uses its C encoder (indent forces the
-    Python one).  Each ``RangeReport`` in ``doc`` is encoded by its
-    row-chunked ``to_json`` and spliced in; the text is the same as that of
-    ``doc`` with the report replaced by ``report.to_dict()``."""
-    reports = []
-
-    def defer(obj):
-        if not isinstance(obj, RangeReport):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        reports.append(obj)
-        return _REPORT_MARK
-
-    parts = json.dumps(doc, default=defer).split(json.dumps(_REPORT_MARK))
-    pieces = parts[:1]
-    for report, part in zip(reports, parts[1:]):
-        pieces += [report.to_json(), part]
-    return "".join(pieces + ["\n"])
+    Python one)."""
+    return json.dumps(doc) + "\n"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -151,7 +136,7 @@ def cmd_range(args: argparse.Namespace) -> int:
         overlays = _overlay_polygons(spec, args.overlay_thetas, args.phi_count)
         text = svg.range_figure(report.polygon.vertices, overlays=overlays)
     else:
-        text = _json(report)
+        text = _json(report.to_dict())
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -167,11 +152,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     s_values = args.s_values or [3, 4, 6]
     for s in s_values:
-        if s < 2 or s * spec.period < 2 * spec.band + 1:
-            raise SpecError(
-                f"s={s} violates the precondition s(n+1) >= 2m+1 "
-                f"({s * spec.period} < {2 * spec.band + 1})"
-            )
+        try:
+            _check_replication(spec, s)
+        except ValueError as exc:
+            raise SpecError(f"s={s} violates a precondition: {exc}") from exc
     report = operator_range(spec, args.theta_count, args.phi_count)
     scale = 1.0 + spec.max_entry()
     block_tol = 1e-10 * scale * args.tol_scale
@@ -213,10 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def counterexample_doc(
     *, theta_count: int, phi_count: int, direction_count: int
 ) -> tuple[dict, str]:
-    """Machine-readable counterexample pipeline report plus a summary.
-
-    The ``range_report`` value is the ``RangeReport`` itself, which ``_json``
-    encodes as ``RangeReport.to_dict`` would."""
+    """Machine-readable counterexample pipeline report plus a summary."""
     spec = counterexample_spec()
     report = operator_range(spec, theta_count, phi_count)
     vertices = report.polygon.vertices
@@ -235,7 +216,7 @@ def counterexample_doc(
     pipeline = nonrepresentability_report(direction_count)
     doc = {
         "kind": "counterexample-report",
-        "range_report": report,
+        "range_report": report.to_dict(),
         "quartic_residual_max": float(np.max(residuals)),
         "real_axis_extremes": [float(vertices[:, 0].min()), float(vertices[:, 0].max())],
         "ellipse_grid_residual": float(family_residual),
@@ -276,7 +257,7 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
         phi_count=args.phi_count,
         direction_count=args.direction_count,
     )
-    print(summary)
+    _write_output(summary + "\n", None)
     if args.out is not None:
         _write_output(_json(doc), args.out)
     return EXIT_OK

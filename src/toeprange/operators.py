@@ -244,14 +244,15 @@ def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     reduced = np.vectorize(lambda t: math.remainder(t, TAU))(thetas)
     u_max = (spec.band + d - 1) // d
+    # Entry (j, j + r) of the operator lands in harmonic u = (j + r) // d at
+    # column (j + r) % d; distinct offsets never share an entry.
+    harmonics = np.zeros((2 * u_max + 1, d, d), dtype=complex)
+    rows = np.arange(d)
+    for r in range(-spec.band, spec.band + 1):
+        cols = rows + r
+        harmonics[cols // d + u_max, rows, cols % d] = spec.diagonal(r)
     out = np.zeros((reduced.size, d, d), dtype=complex)
-    for u in range(-u_max, u_max + 1):
-        harmonic = np.zeros((d, d), dtype=complex)
-        for j in range(d):
-            for k in range(d):
-                offset = k - j + u * d
-                if abs(offset) <= spec.band:
-                    harmonic[j, k] = spec.diagonal(offset)[j]
+    for u, harmonic in zip(range(-u_max, u_max + 1), harmonics):
         if np.any(harmonic != 0.0):
             out += np.exp(1j * u * reduced)[:, None, None] * harmonic
     return out

@@ -17,7 +17,6 @@ Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -145,8 +144,9 @@ class RangeReport:
         for start in range(0, self.samples.shape[0], _ROW_CHUNK):
             yield _sample_rows(self.samples[start : start + _ROW_CHUNK])
 
-    def _header(self) -> dict:
-        """``to_dict`` without its final ``samples`` entry."""
+    def to_dict(self) -> dict:
+        """The range document: grid sizes, residuals and the polygon.  The
+        sample table is not part of it; ``flat_table`` writes the rows."""
         return {
             "kind": "range-report",
             "theta_count": self.theta_count,
@@ -155,29 +155,14 @@ class RangeReport:
             "polygon": self.polygon.vertices.tolist(),
         }
 
-    def to_dict(self) -> dict:
-        return {**self._header(), "samples": _sample_rows(self.samples).tolist()}
-
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict())``, with the sample table encoded one
-        row chunk at a time instead of as one list of row lists."""
-        head = json.dumps({**self._header(), "samples": []})
-        rows = (json.dumps(chunk.tolist())[1:-1] for chunk in self._row_chunks())
-        return "".join([head[: -len("]}")], ", ".join(rows), "]}"])
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RangeReport":
+        """Report read back from ``to_dict``; its ``samples`` are empty."""
         if doc.get("kind") != "range-report":
             raise ValueError("not a range-report document")
-        rows = np.asarray(doc["samples"], dtype=float).reshape(-1, len(SAMPLE_DTYPE))
-        if rows.shape[0] != len(doc["samples"]):
-            raise ValueError("each sample must be a row of five numbers")
-        samples = np.zeros(rows.shape[0], dtype=SAMPLE_DTYPE)
-        for i, name in enumerate(SAMPLE_DTYPE.names):
-            samples[name] = rows[:, i]
         return cls(
             polygon=ConvexPolygon(np.asarray(doc["polygon"], dtype=float)),
-            samples=samples,
+            samples=np.zeros(0, dtype=SAMPLE_DTYPE),
             theta_count=int(doc["theta_count"]),
             phi_count=int(doc["phi_count"]),
             residual_summary=dict(doc["residual_summary"]),
@@ -256,9 +241,17 @@ def convex_hull(points) -> ConvexPolygon:
     lower = chain(pts)
     upper = chain(pts[::-1])
     hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        # all points collinear within tolerance: keep the extreme pair
-        hull = [pts[0], pts[-1]]
+    if len(hull) == 2:
+        # All points collinear within tolerance.  Rounding noise in the
+        # leading coordinate can put interior points of the segment first or
+        # last in the sort, so keep the pair farthest apart instead.  Ties go
+        # to the last and first points, the ends when the sort runs along
+        # the segment.
+        far = np.sum((pts - pts[0]) ** 2, axis=1)
+        i = int(np.flatnonzero(far == far.max())[-1])
+        far = np.sum((pts - pts[i]) ** 2, axis=1)
+        j = int(np.flatnonzero(far == far.max())[0])
+        hull = pts[sorted((i, j))]
     return ConvexPolygon(np.asarray(hull))
 
 
@@ -417,7 +410,7 @@ def truncation_inclusion_check(
     the symbols missed between grid angles; ``angular_resolution_gap`` covers
     only the first.  On coarse ``theta`` grids the excess can exceed it
     (``verify specs/counterexample.json --theta-count 3`` fails); a bound
-    with both terms is item 2 of ROADMAP.md.
+    with both terms is item 1 of ROADMAP.md.
     """
     t_n = truncation(spec, n_rows)
     phis = TAU * np.arange(report.phi_count) / report.phi_count

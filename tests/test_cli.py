@@ -10,7 +10,7 @@ import pytest
 
 from toeprange import cli
 from toeprange.operators import counterexample_spec, spec_to_doc, symbol, validate_spec
-from toeprange.ranges import RangeReport, operator_range
+from toeprange.ranges import RangeReport, convex_hull, operator_range
 
 COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
 FREE_JACOBI = os.path.join(os.path.dirname(__file__), "..", "specs", "free_jacobi.json")
@@ -110,9 +110,24 @@ class TestRange:
              "--out", str(out)]
         )
         assert code == 0
-        report = RangeReport.from_dict(json.loads(out.read_text()))
-        assert report.theta_count == 24
-        assert report.samples.shape == (24 * 24,)
+        doc = json.loads(out.read_text())
+        assert "samples" not in doc
+        report = RangeReport.from_dict(doc)
+        library = operator_range(counterexample_spec(), 24, 24)
+        assert (report.theta_count, report.phi_count) == (24, 24)
+        assert report.residual_summary == library.residual_summary
+        assert np.array_equal(report.polygon.vertices, library.polygon.vertices)
+        assert report.samples.shape == (0,)
+
+    def test_report_doc_polygon_is_hull_of_flat_table(self, tmp_path):
+        args = ["range", COUNTEREXAMPLE, "--theta-count", "30", "--phi-count", "36"]
+        doc_path, table_path = tmp_path / "report.json", tmp_path / "table.txt"
+        assert cli.main(args + ["--out", str(doc_path)]) == 0
+        assert cli.main(args + ["--format", "flat-table", "--out", str(table_path)]) == 0
+        table = np.loadtxt(table_path, skiprows=1)
+        assert table.shape == (30 * 36, 5)
+        polygon = json.loads(doc_path.read_text())["polygon"]
+        assert np.array_equal(np.array(polygon), convex_hull(table[:, 3:]).vertices)
 
     def test_report_doc_matches_library(self, tmp_path):
         out = tmp_path / "report.json"
@@ -259,6 +274,15 @@ class TestVerify:
         assert code == 3
         assert "precondition" in capsys.readouterr().err
 
+    def test_oversized_s_refused_before_the_sweep(self, monkeypatch, capsys):
+        def sweep(*args, **kwargs):
+            raise AssertionError("operator_range ran")
+
+        monkeypatch.setattr(cli, "operator_range", sweep)
+        assert cli.main(["verify", COUNTEREXAMPLE, "--s", "3", "--s", "3000"]) == 3
+        err = capsys.readouterr().err
+        assert "precondition" in err and "6000" in err
+
     def test_tolerance_breach_exit_code(self, capsys):
         code = cli.main(
             ["verify", COUNTEREXAMPLE, "--theta-count", "60", "--phi-count", "60",
@@ -288,11 +312,11 @@ class TestCounterexample:
         args = ["--theta-count", "30", "--phi-count", "40", "--direction-count", "16"]
         assert cli.main(["counterexample", *args, "--out", str(out)]) == 0
         doc, _ = cli.counterexample_doc(theta_count=30, phi_count=40, direction_count=16)
-        report = doc["range_report"]
         text = out.read_text()
-        assert text == json.dumps({**doc, "range_report": report.to_dict()}) + "\n"
+        assert text == json.dumps(doc) + "\n"
         parsed, _ = cli.parse_counterexample_doc(json.loads(text))
-        assert np.array_equal(parsed.samples, report.samples)
+        library = operator_range(counterexample_spec(), 30, 40)
+        assert np.array_equal(parsed.polygon.vertices, library.polygon.vertices)
 
     def test_refinement_shrinks_quartic_residual(self):
         coarse, _ = cli.counterexample_doc(theta_count=120, phi_count=120, direction_count=16)
@@ -367,3 +391,29 @@ class TestConfigValidation:
 
     def test_non_finite_tol_scale(self):
         assert cli.main(["verify", COUNTEREXAMPLE, "--tol-scale", "nan"]) == 3
+
+
+class _FullStdout:
+    """Stands in for stdout redirected to a full device: writes are
+    buffered, and the flush fails."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+class TestStdoutFailure:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", COUNTEREXAMPLE],
+            ["counterexample", "--theta-count", "8", "--phi-count", "8",
+             "--direction-count", "8"],
+        ],
+    )
+    def test_write_failure_exits_4(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sys.stdout", _FullStdout())
+        assert cli.main(argv) == 4
+        assert "I/O failure" in capsys.readouterr().err

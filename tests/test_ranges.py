@@ -164,6 +164,12 @@ class TestConvexHull:
         poly = convex_hull([(0, 0), (1, 1), (2, 2), (0.5, 0.5)])
         assert poly.vertices.shape == (2, 2)
 
+    def test_collinear_points_keep_the_segment_ends(self):
+        # Rounding noise in x sorts the middle of the segment x = 1 first.
+        pts = [(1.0, 0.0), (1.0 + 1e-16, -2.0), (1.0 - 1e-16, 2.0), (1.0, 1.0)]
+        poly = convex_hull(pts)
+        assert sorted(poly.vertices[:, 1]) == [-2.0, 2.0]
+
     def test_random_disk_containment(self):
         rng = np.random.default_rng(32)
         pts = rng.standard_normal((1000, 2))
@@ -241,6 +247,33 @@ class TestOperatorRange:
         report = operator_range(spec, 8, 8)
         assert report.polygon.vertices.shape == (1, 2)
         assert np.allclose(report.polygon.vertices[0], (0.5, 0.25), atol=1e-12)
+
+    def test_segment_range_of_a_scalar_symbol(self):
+        # The symbol 1 + 2i cos(theta) sweeps the segment from 1 - 2i to 1 + 2i.
+        spec = PeriodicBandedSpec(1, 1, {-1: [1j], 0: [1.0], 1: [1j]})
+        v = operator_range(spec, 24, 24).polygon.vertices
+        assert v.shape == (2, 2)
+        assert np.allclose(sorted(v[:, 1]), [-2.0, 2.0], rtol=0, atol=1e-15)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="convex_hull's collinearity threshold is an area, 1e-12 * max(1, |coord|)^2, "
+        "so it drops vertices of tiny polygons and of dense clusters of samples",
+    )
+    @pytest.mark.parametrize(
+        "diagonals",
+        [
+            {1: [0.0, 1e-5j]},
+            {-1: [1.875 + 0.5j, 1.25 - 1.5j], 0: [1j, 1j], 1: [-1.25 - 1.5j, 1.0 - 1.578125j]},
+        ],
+    )
+    def test_polygon_support_is_sampled_support_on_the_grid(self, diagonals):
+        spec = PeriodicBandedSpec(2, 1, diagonals)
+        report = operator_range(spec, 24, 24)
+        phis = TAU * np.arange(24) / 24
+        sampled = report.samples["support_value"].reshape(24, 24).max(axis=0)
+        gap = np.max(np.abs(report.polygon.support(phis) - sampled))
+        assert gap <= 1e-9 * (1.0 + spec.max_entry())
 
     def test_polygon_is_hull_of_samples(self):
         report = operator_range(counterexample_spec(), 40, 40)
@@ -411,27 +444,37 @@ class TestTruncationInclusion:
 class TestRangeReport:
     def test_dict_roundtrip(self):
         report = operator_range(counterexample_spec(), 12, 12)
-        doc = report.to_dict()
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert set(doc) == {"kind", "theta_count", "phi_count", "residual_summary", "polygon"}
         again = RangeReport.from_dict(doc)
         assert again.theta_count == report.theta_count
         assert again.phi_count == report.phi_count
+        assert again.residual_summary == report.residual_summary
         assert np.array_equal(again.polygon.vertices, report.polygon.vertices)
-        assert np.array_equal(again.samples, report.samples)
+        assert again.samples.shape == (0,) and again.samples.dtype == report.samples.dtype
 
     def test_empty_samples_roundtrip(self):
         report = operator_range(counterexample_spec(), 4, 4)
-        report.samples = report.samples[:0]
         doc = report.to_dict()
-        assert doc["samples"] == []
+        report.samples = report.samples[:0]
+        assert report.to_dict() == doc
         again = RangeReport.from_dict(doc)
         assert again.samples.shape == (0,) and again.samples.dtype == report.samples.dtype
+        assert again.to_dict() == doc
         assert report.flat_table() == "theta phi support_value x y\n"
 
     def test_from_dict_rejects_malformed_rows(self):
         doc = operator_range(counterexample_spec(), 4, 5).to_dict()
-        doc["samples"] = [row[:4] for row in doc["samples"]]
-        with pytest.raises(ValueError):
-            RangeReport.from_dict(doc)
+        edits = [
+            {"kind": "counterexample-report"},
+            {"polygon": [[0.0, 0.0, 1.0]]},
+            {"polygon": []},
+            {"polygon": [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]},  # clockwise
+            {"polygon": [[0.0, float("nan")]]},
+        ]
+        for edit in edits:
+            with pytest.raises(ValueError):
+                RangeReport.from_dict({**doc, **edit})
 
     def test_flat_table_matches_row_formatting(self):
         report = operator_range(counterexample_spec(), 9, 11)
@@ -446,7 +489,6 @@ class TestRangeReport:
         monkeypatch.setattr(ranges, "_ROW_CHUNK", 4)
         report = operator_range(counterexample_spec(), 3, 4)
         report.samples = report.samples[:n_samples]
-        assert report.to_json() == json.dumps(report.to_dict())
         names = ("theta", "phi", "support_value", "x", "y")
         reference = ["theta phi support_value x y"] + [
             " ".join(f"{float(row[name]):.17g}" for name in names) for row in report.samples
