@@ -44,9 +44,11 @@ from .operators import (
     spec_to_doc,
     spectrum_match_gap,
     symbol,
+    symbol_batch,
 )
 from .ranges import (
     RangeReport,
+    _check_sweep_size,
     angular_resolution_gap,
     matrix_numerical_range,
     operator_range,
@@ -119,16 +121,17 @@ def cmd_symbol(args: argparse.Namespace) -> int:
 
 
 def _overlay_polygons(spec: PeriodicBandedSpec, count: int, phi_count: int):
-    overlays = []
-    for j in range(count):
-        theta = TAU * j / count
-        poly = matrix_numerical_range(symbol(spec, theta), phi_count)
-        overlays.append((f"theta={theta:.6f}", poly.vertices))
-    return overlays
+    thetas = TAU * np.arange(count) / count
+    return [
+        (f"theta={theta:.6f}", matrix_numerical_range(matrix, phi_count).vertices)
+        for theta, matrix in zip(thetas, symbol_batch(spec, thetas))
+    ]
 
 
 def cmd_range(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
+    if args.format == "svg":
+        _check_sweep_size(spec.period, args.overlay_thetas, args.phi_count)
     report = operator_range(spec, args.theta_count, args.phi_count)
     if args.format == "flat-table":
         text = report.flat_table()
@@ -208,11 +211,7 @@ def counterexample_doc(
     family = ellipse_family()
     grid = np.linspace(0.0, TAU, 100, endpoint=False)
     family_residual = np.max(np.abs(ellipse_family_residual(grid[:, None], grid[None, :])))
-    envelope_extremes = max(
-        abs(envelope_residual(family, 1.5, 0.0)),
-        abs(envelope_residual(family, -2.5, 0.0)),
-        abs(envelope_residual(family, 0.5, 0.0)),
-    )
+    envelope_extremes = np.max(np.abs(envelope_residual(family, [1.5, -2.5, 0.5], 0.0)))
     pipeline = nonrepresentability_report(direction_count)
     doc = {
         "kind": "counterexample-report",
@@ -328,8 +327,9 @@ def _check_args(args: argparse.Namespace) -> None:
         raise SpecError("direction-count must be >= 1")
     if not np.isfinite(getattr(args, "theta", 0.0)):
         raise SpecError("theta must be finite")
-    if not np.isfinite(getattr(args, "tol_scale", 1.0)):
-        raise SpecError("tol-scale must be finite")
+    tol_scale = getattr(args, "tol_scale", 1.0)
+    if not (np.isfinite(tol_scale) and tol_scale > 0):
+        raise SpecError("tol-scale must be finite and > 0")
 
 
 def main(argv=None) -> int:

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, as_matrix
+from .ranges import SWEEP_BYTE_CAP
 
 TAU = 2.0 * math.pi
 KIPPENHAHN_SIZE_CAP = 12
 REAL_ROOT_RTOL = 1e-7
+KIPPENHAHN_FIT_RTOL = 1e-8
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -94,9 +96,11 @@ def evaluate_form(form: TernaryForm, t, x, y):
     return total
 
 
-def form_gradient(form: TernaryForm, t: float, x: float, y: float) -> np.ndarray:
-    """Gradient (d/dt, d/dx, d/dy) at a point."""
-    grad = np.zeros(3)
+def form_gradient(form: TernaryForm, t, x, y) -> np.ndarray:
+    """Gradient (d/dt, d/dx, d/dy), stacked on the first axis; broadcasts
+    over array arguments, so scalars give shape (3,)."""
+    t, x, y = (np.asarray(v, dtype=float) for v in (t, x, y))
+    grad = np.zeros((3,) + np.broadcast(t, x, y).shape)
     for (i, j, k), c in form.coefficients.items():
         if i > 0:
             grad[0] += c * i * t ** (i - 1) * x**j * y**k
@@ -107,11 +111,13 @@ def form_gradient(form: TernaryForm, t: float, x: float, y: float) -> np.ndarray
     return grad
 
 
-def restrict_to_direction(form: TernaryForm, x0: float, y0: float) -> np.ndarray:
-    """Coefficients (descending powers of t) of ``F(t, x0, y0)``."""
-    coeffs = np.zeros(form.degree + 1)
+def restrict_to_direction(form: TernaryForm, x0, y0) -> np.ndarray:
+    """Coefficients (descending powers of t) of ``F(t, x0, y0)`` along the
+    last axis; broadcasts over array arguments."""
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    coeffs = np.zeros(np.broadcast(x0, y0).shape + (form.degree + 1,))
     for (i, j, k), c in form.coefficients.items():
-        coeffs[form.degree - i] += c * x0**j * y0**k
+        coeffs[..., form.degree - i] += c * x0**j * y0**k
     return coeffs
 
 
@@ -261,14 +267,14 @@ def _fibonacci_disk(count: int) -> np.ndarray:
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
 
 
-def kippenhahn_form(b, fit_rtol: float = 1e-8) -> TernaryForm:
+def kippenhahn_form(b) -> TernaryForm:
     """Kippenhahn polynomial ``det(t I + x Re(B) + y Im(B))`` of a square
     matrix, recovered by determinant sampling on the t = 1 chart.
 
     Determinants are evaluated on a deterministic Fibonacci disk lattice
     scaled to the pencil's norm, the monomial coefficients are fit by least
     squares, and the fit residual is required to stay below
-    ``fit_rtol * (1 + max |det|)``.
+    ``KIPPENHAHN_FIT_RTOL * (1 + max |det|)``.
     """
     m = as_matrix(b)
     if m.shape[0] != m.shape[1]:
@@ -295,7 +301,7 @@ def kippenhahn_form(b, fit_rtol: float = 1e-8) -> TernaryForm:
     coeffs, _, _, singular = np.linalg.lstsq(vandermonde, dets, rcond=None)
     condition = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
     residual = float(np.max(np.abs(vandermonde @ coeffs - dets)))
-    if residual > fit_rtol * (1.0 + float(np.max(np.abs(dets)))):
+    if residual > KIPPENHAHN_FIT_RTOL * (1.0 + float(np.max(np.abs(dets)))):
         raise InterpolationError(
             f"fit residual {residual:.3e} with condition estimate {condition:.3e}"
         )
@@ -306,6 +312,19 @@ def kippenhahn_form(b, fit_rtol: float = 1e-8) -> TernaryForm:
         if abs(value) > 1e-10 * top:
             coefficients[(size - a - c, a, c)] = unscaled
     return TernaryForm(degree=size, coefficients=coefficients)
+
+
+def _companion_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Companion-matrix roots of real polynomials, one per row of descending
+    coefficients with a nonzero leading one, each row sorted by (real, imag),
+    and each row's count of real roots as ``univariate_real_root_count``."""
+    degree = coeffs.shape[-1] - 1
+    companion = np.zeros((coeffs.shape[0], degree, degree))
+    companion[:, 0, :] = -(coeffs[:, 1:] / coeffs[:, :1])
+    companion[:, np.arange(1, degree), np.arange(0, degree - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
+    return roots, np.sum(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots)), axis=-1)
 
 
 def univariate_real_root_count(
@@ -321,18 +340,10 @@ def univariate_real_root_count(
     if nonzero.size == 0:
         raise ValueError("zero polynomial has no defined root count")
     c = c[nonzero[0] :]
-    degree = c.size - 1
-    if degree == 0:
+    if c.size == 1:
         return 0, np.zeros(0, dtype=complex)
-    monic = c / c[0]
-    companion = np.zeros((degree, degree))
-    companion[0, :] = -monic[1:]
-    if degree > 1:
-        companion[np.arange(1, degree), np.arange(0, degree - 1)] = 1.0
-    roots = np.linalg.eigvals(companion)
-    roots = roots[np.lexsort((roots.imag, roots.real))]
-    real_count = int(np.sum(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots))))
-    return real_count, roots
+    roots, counts = _companion_roots(c[None, :], tol)
+    return int(counts[0]), roots[0]
 
 
 @dataclass(frozen=True)
@@ -387,6 +398,29 @@ class HyperbolicityVerdict:
         )
 
 
+def _check_direction_count(direction_count: int, degree: int) -> None:
+    """Refuse fewer than one direction, or more than ``SWEEP_BYTE_CAP`` bytes of
+    restriction, companion and root stacks at about 16 (degree + 1)^2 each."""
+    if direction_count < 1:
+        raise ValueError("direction_count must be >= 1")
+    if direction_count * (degree + 1) ** 2 * 16 > SWEEP_BYTE_CAP:
+        raise ValueError(f"{direction_count} directions exceed the {SWEEP_BYTE_CAP}-byte cap")
+
+
+def _witness_index(values: np.ndarray) -> int:
+    """Where a scan of nonnegative values ends if each takes over only by
+    beating the current pick by a relative 1e-9 (first wins near-ties).
+    Only a rise of the running maximum can take over, and one beating the
+    previous rise by the margin always does, so the scan starts there."""
+    rises = np.flatnonzero(np.diff(np.maximum.accumulate(values), prepend=-1.0) > 0)
+    sure = np.flatnonzero(values[rises[1:]] > values[rises[:-1]] * (1.0 + 1e-9))
+    pick = rises[sure[-1] + 1 if sure.size else 0]
+    for idx in rises[rises > pick]:
+        if values[idx] > values[pick] * (1.0 + 1e-9):
+            pick = idx
+    return int(pick)
+
+
 def hyperbolicity_test(
     form: TernaryForm, direction_count: int = 720, tol: float = REAL_ROOT_RTOL
 ) -> HyperbolicityVerdict:
@@ -400,41 +434,25 @@ def hyperbolicity_test(
     lead = form.coefficients.get((form.degree, 0, 0), 0.0)
     if lead == 0.0:
         raise ValueError("degenerate leading coefficient: form vanishes at (1, 0, 0)")
-    if direction_count < 1:
-        raise ValueError("direction_count must be >= 1")
-    angles = [TAU * j / direction_count for j in range(direction_count)]
-    if not any(math.isclose(a, math.pi / 2.0, abs_tol=1e-15) for a in angles):
-        angles.append(math.pi / 2.0)
-    max_imag_seen = 0.0
-    worst_failure = -1.0
-    witness = None
-    for angle in angles:
-        x0, y0 = -math.cos(angle), -math.sin(angle)
-        count, roots = univariate_real_root_count(
-            restrict_to_direction(form, x0, y0), tol
-        )
-        top_imag = float(np.max(np.abs(roots.imag))) if roots.size else 0.0
-        max_imag_seen = max(max_imag_seen, top_imag)
-        # first direction wins near-ties so the witness is grid-stable
-        if count < form.degree and top_imag > worst_failure * (1.0 + 1e-9):
-            worst_failure = top_imag
-            witness = (angle, (x0, y0), roots)
-    if witness is None:
-        return HyperbolicityVerdict(
-            hyperbolic=True,
-            max_imag=max_imag_seen,
-            direction_count=direction_count,
-            tol=tol,
-        )
-    angle, direction, roots = witness
+    _check_direction_count(direction_count, form.degree)
+    angles = TAU * np.arange(direction_count) / direction_count
+    if direction_count % 4:  # the grid misses pi/2
+        angles = np.append(angles, math.pi / 2.0)
+    x0, y0 = -np.cos(angles), -np.sin(angles)
+    roots, counts = _companion_roots(restrict_to_direction(form, x0, y0), tol)
+    top_imag = np.max(np.abs(roots.imag), axis=1)
+    failing = np.flatnonzero(counts < form.degree)
+    if failing.size == 0:
+        return HyperbolicityVerdict(True, float(np.max(top_imag)), direction_count, tol)
+    witness = failing[_witness_index(top_imag[failing])]
     return HyperbolicityVerdict(
         hyperbolic=False,
-        max_imag=worst_failure,
+        max_imag=float(top_imag[witness]),
         direction_count=direction_count,
         tol=tol,
-        witness_theta=angle,
-        witness_direction=direction,
-        witness_roots=roots,
+        witness_theta=float(angles[witness]),
+        witness_direction=(float(x0[witness]), float(y0[witness])),
+        witness_roots=roots[witness],
     )
 
 
@@ -442,27 +460,21 @@ def quartic_boundary_points(count: int = 32) -> np.ndarray:
     """Points on the boundary quartic found by bisecting rays cast from an
     interior point; (1.5, 0) is always the first entry."""
     quartic = boundary_quartic()
-    center = np.array([-0.5, 0.0])
-    points = [np.array([1.5, 0.0])]
-    for idx in range(count - 1):
-        angle = TAU * (idx + 0.37) / count  # avoid the exact real axis
-        direction = np.array([math.cos(angle), math.sin(angle)])
+    angles = TAU * (np.arange(count - 1) + 0.37) / count  # avoid the exact real axis
+    cos, sin = np.cos(angles), np.sin(angles)
 
-        def radial(r):
-            p = center + r * direction
-            return evaluate_form(quartic, 1.0, p[0], p[1])
+    def radial(r):
+        return evaluate_form(quartic, 1.0, -0.5 + r * cos, r * sin)
 
-        lo, hi = 0.0, 4.0
-        if radial(lo) >= 0 or radial(hi) <= 0:
-            raise PipelineStageError("duality", "ray bracketing failed")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if radial(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        points.append(center + 0.5 * (lo + hi) * direction)
-    return np.asarray(points)
+    lo, hi = np.zeros_like(angles), np.full_like(angles, 4.0)
+    if np.any(radial(lo) >= 0) or np.any(radial(hi) <= 0):
+        raise PipelineStageError("duality", "ray bracketing failed")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        inside = radial(mid) <= 0
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    r = 0.5 * (lo + hi)
+    return np.concatenate([[[1.5, 0.0]], np.stack([-0.5 + r * cos, r * sin], axis=1)])
 
 
 @dataclass(frozen=True)
@@ -517,22 +529,14 @@ def nonrepresentability_report(
     confirm the duality pairing on sampled boundary tangents, then test the
     dual for hyperbolicity.  A failed test means no matrix of any size has
     the operator's range closure as its numerical range."""
-    try:
-        quartic = boundary_quartic()
-    except Exception as exc:  # pragma: no cover - constructor is static data
-        raise PipelineStageError("quartic", str(exc)) from exc
-    try:
-        dual = dual_quartic()
-    except Exception as exc:  # pragma: no cover - constructor is static data
-        raise PipelineStageError("dual", str(exc)) from exc
-
+    quartic = boundary_quartic()
+    dual = dual_quartic()
+    _check_direction_count(direction_count, dual.degree)
     try:
         points = quartic_boundary_points(duality_samples)
-        worst = 0.0
-        for x, y in points:
-            tangent = form_gradient(quartic, 1.0, x, y)
-            tangent = tangent / np.linalg.norm(tangent)
-            worst = max(worst, abs(evaluate_form(dual, *tangent)))
+        tangents = form_gradient(quartic, 1.0, points[:, 0], points[:, 1])
+        tangents = tangents / np.linalg.norm(tangents, axis=0)
+        worst = float(np.max(np.abs(evaluate_form(dual, *tangents))))
         if worst > 1e-6:
             raise PipelineStageError(
                 "duality", f"tangent-line residual {worst:.3e} exceeds 1e-6"

@@ -96,13 +96,13 @@ def hermitian_solve(solver, h):
         raise EigenSolverError(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
-def eigh(h, check: bool = True) -> HermitianEigenDecomposition:
+def eigh(h) -> HermitianEigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix.
 
     Raises ``ValueError`` if the input is further than
     ``HERMITICITY_RTOL * (1 + max|H|)`` from Hermitian, and
     ``EigenSolverError`` if LAPACK fails to converge or the decomposition
-    misses its orthonormality/reconstruction contract (``check=True``).
+    misses its orthonormality/reconstruction contract.
     """
     m = _require_square(as_matrix(h))
     scale = 1.0 + max_norm(m)
@@ -115,12 +115,10 @@ def eigh(h, check: bool = True) -> HermitianEigenDecomposition:
     else:
         values, vectors = hermitian_solve(np.linalg.eigh, sym)
     values = np.asarray(values, dtype=float)
-    if check:
-        n = m.shape[0]
-        ortho = max_norm(vectors.conj().T @ vectors - np.eye(n))
-        if ortho > ORTHONORMALITY_TOL:
-            raise EigenSolverError(f"eigenvector orthonormality defect {ortho:.3e}")
-        recon = max_norm(sym @ vectors - vectors * values)
-        if recon > RECONSTRUCTION_RTOL * scale:
-            raise EigenSolverError(f"eigendecomposition residual {recon:.3e}")
+    ortho = max_norm(vectors.conj().T @ vectors - np.eye(m.shape[0]))
+    if ortho > ORTHONORMALITY_TOL:
+        raise EigenSolverError(f"eigenvector orthonormality defect {ortho:.3e}")
+    recon = max_norm(sym @ vectors - vectors * values)
+    if recon > RECONSTRUCTION_RTOL * scale:
+        raise EigenSolverError(f"eigendecomposition residual {recon:.3e}")
     return HermitianEigenDecomposition(eigenvalues=values, eigenvectors=vectors)

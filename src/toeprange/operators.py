@@ -242,7 +242,7 @@ def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
     """
     d = spec.period
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    reduced = np.vectorize(lambda t: math.remainder(t, TAU))(thetas)
+    reduced = np.vectorize(lambda t: math.remainder(t, TAU), otypes=[float])(thetas)
     u_max = (spec.band + d - 1) // d
     # Entry (j, j + r) of the operator lands in harmonic u = (j + r) // d at
     # column (j + r) % d; distinct offsets never share an entry.
@@ -305,8 +305,7 @@ def block_diagonalization_residual(spec: PeriodicBandedSpec, s: int) -> float:
     u = fourier_unitary(d, s)
     conjugated = u.conj().T @ c @ u
     assembled = np.zeros((mu, mu), dtype=complex)
-    for q in range(s):
-        block = symbol(spec, TAU * q / s)
+    for q, block in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
         assembled[q * d : (q + 1) * d, q * d : (q + 1) * d] = block
     return max_norm(conjugated - assembled)
 
@@ -352,10 +351,8 @@ def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
     _check_replication(spec, s)
     from_c = np.poly(np.linalg.eigvals(c_mu(spec, s)))
     from_blocks = np.array([1.0 + 0.0j])
-    for q in range(s):
-        from_blocks = np.convolve(
-            from_blocks, np.poly(np.linalg.eigvals(symbol(spec, TAU * q / s)))
-        )
+    for block in symbol_batch(spec, TAU * np.arange(s) / s):
+        from_blocks = np.convolve(from_blocks, np.poly(np.linalg.eigvals(block)))
     gaps = np.abs(from_c - from_blocks) / (
         1.0 + np.abs(from_c) + np.abs(from_blocks)
     )
@@ -369,8 +366,7 @@ def lifting_residual_max(spec: PeriodicBandedSpec, s: int) -> float:
     _check_replication(spec, s)
     c = c_mu(spec, s)
     worst = 0.0
-    for r in range(s):
-        phi = symbol(spec, TAU * r / s)
+    for r, phi in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
         values, vectors = np.linalg.eig(phi)
         for lam, vec in zip(values, vectors.T):
             lifted = lift_eigenvector(vec, r, s).lifted

@@ -99,17 +99,17 @@ class ConvexPolygon:
         directions = np.stack([np.cos(phis), np.sin(phis)], axis=0)
         return np.max(self.vertices @ directions, axis=0)
 
-    def diameter(self, grid: int = HAUSDORFF_GRID) -> float:
+    def diameter(self) -> float:
         """Largest vertex distance; exact up to 256 vertices, otherwise an
-        upper bound from the widths on a ``grid`` of directions."""
+        upper bound from the widths on ``HAUSDORFF_GRID`` directions."""
         if self.vertices.shape[0] <= 256:
             diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
             return float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
-        phis = TAU * np.arange(grid) / grid
+        phis = TAU * np.arange(HAUSDORFF_GRID) / HAUSDORFF_GRID
         width = np.max(self.support(phis) + self.support(phis + math.pi))
-        # Some grid direction lies within pi/grid of the diameter's, and the
-        # width there is at least diameter * cos(pi/grid).
-        return float(width) / math.cos(math.pi / grid)
+        # Some grid direction lies within pi/HAUSDORFF_GRID of the diameter's,
+        # and the width there is at least diameter * cos(pi/HAUSDORFF_GRID).
+        return float(width) / math.cos(math.pi / HAUSDORFF_GRID)
 
     def violation(self, point) -> float:
         """Signed distance outside the region (<= 0 means inside)."""

@@ -392,6 +392,26 @@ class TestConfigValidation:
     def test_non_finite_tol_scale(self):
         assert cli.main(["verify", COUNTEREXAMPLE, "--tol-scale", "nan"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--theta-count", "3", "--phi-count", "3",
+             "--direction-count", "100000000"],
+            ["plot", COUNTEREXAMPLE, "--theta-count", "3", "--phi-count", "3",
+             "--overlay-thetas", "100000000"],
+            ["range", COUNTEREXAMPLE, "--theta-count", "3", "--phi-count", "3",
+             "--format", "svg", "--overlay-thetas", "100000000"],
+            ["verify", FREE_JACOBI, "--tol-scale", "-1"],
+            ["verify", FREE_JACOBI, "--tol-scale", "0"],
+        ],
+    )
+    def test_refused_before_any_work(self, capsys, argv):
+        start = time.perf_counter()
+        assert cli.main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
 
 class _FullStdout:
     """Stands in for stdout redirected to a full device: writes are

@@ -8,9 +8,12 @@ import pytest
 
 from conftest import random_complex_matrix
 from toeprange.curves import (
+    _witness_index,
     NonrepresentabilityReport,
     evaluate_bivariate,
+    HyperbolicityVerdict,
     PipelineStageError,
+    REAL_ROOT_RTOL,
     TernaryForm,
     boundary_quartic,
     dual_quartic,
@@ -29,7 +32,54 @@ from toeprange.curves import (
     univariate_real_root_count,
 )
 from toeprange.operators import TAU
-from toeprange.ranges import matrix_numerical_range
+from toeprange.ranges import SWEEP_BYTE_CAP, matrix_numerical_range
+
+
+def scalar_gradient(form, t, x, y):
+    """Gradient at one point in Python float arithmetic."""
+    grad = np.zeros(3)
+    for (i, j, k), c in form.coefficients.items():
+        if i > 0:
+            grad[0] += c * i * t ** (i - 1) * x**j * y**k
+        if j > 0:
+            grad[1] += c * j * t**i * x ** (j - 1) * y**k
+        if k > 0:
+            grad[2] += c * k * t**i * x**j * y ** (k - 1)
+    return grad
+
+
+def scalar_restriction(form, x0, y0):
+    """Restriction coefficients at one direction in Python float arithmetic."""
+    coeffs = np.zeros(form.degree + 1)
+    for (i, j, k), c in form.coefficients.items():
+        coeffs[form.degree - i] += c * x0**j * y0**k
+    return coeffs
+
+
+def scalar_root_count(coeffs, tol):
+    """Companion-matrix roots of one polynomial with a nonzero leading
+    coefficient, sorted by (real, imag), and the count of real ones."""
+    c = np.asarray(coeffs, dtype=float)
+    degree = c.size - 1
+    companion = np.zeros((degree, degree))
+    companion[0, :] = -(c[1:] / c[0])
+    if degree > 1:
+        companion[np.arange(1, degree), np.arange(0, degree - 1)] = 1.0
+    roots = np.linalg.eigvals(companion)
+    roots = roots[np.lexsort((roots.imag, roots.real))]
+    return int(np.sum(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots)))), roots
+
+
+def random_form(rng, degree):
+    """Form with standard normal coefficients on every monomial, the
+    leading t^degree one kept away from zero."""
+    coefficients = {
+        (degree - j - k, j, k): float(rng.standard_normal())
+        for j in range(degree + 1)
+        for k in range(degree + 1 - j)
+    }
+    coefficients[(degree, 0, 0)] = float(np.sign(rng.standard_normal()) * rng.uniform(0.5, 2))
+    return TernaryForm(degree=degree, coefficients=coefficients)
 
 
 class TestTernaryForm:
@@ -55,6 +105,22 @@ class TestTernaryForm:
             lhs = evaluate_form(form, s * t, s * x, s * y)
             rhs = s**form.degree * evaluate_form(form, t, x, y)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
+
+
+class TestBroadcasting:
+    def test_batch_matches_scalar_calls(self):
+        rng = np.random.default_rng(44)
+        for degree in range(1, 6):
+            form = random_form(rng, degree)
+            t, x, y = rng.standard_normal((3, 4, 6))
+            coeffs = restrict_to_direction(form, x, y)
+            grad = form_gradient(form, t, x, y)
+            assert coeffs.shape == (4, 6, degree + 1)
+            assert grad.shape == (3, 4, 6)
+            for idx in np.ndindex(4, 6):
+                assert np.array_equal(coeffs[idx], restrict_to_direction(form, x[idx], y[idx]))
+                assert np.array_equal(grad[(slice(None),) + idx],
+                                      form_gradient(form, t[idx], x[idx], y[idx]))
 
 
 class TestBoundaryQuartic:
@@ -239,6 +305,16 @@ class TestRootCounting:
         count, roots = univariate_real_root_count([0.0, 0.0, 2.0, -2.0])
         assert count == 1 and abs(roots[0] - 1.0) < 1e-12
 
+    def test_matches_scalar_companion_roots(self):
+        rng = np.random.default_rng(46)
+        for degree in range(1, 7):
+            coeffs = rng.standard_normal(degree + 1)
+            count, roots = univariate_real_root_count(coeffs)
+            want_count, want_roots = scalar_root_count(coeffs, REAL_ROOT_RTOL)
+            assert count == want_count
+            assert roots.dtype == want_roots.dtype
+            assert np.array_equal(roots, want_roots)
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             univariate_real_root_count([0.0, 0.0])
@@ -249,6 +325,85 @@ class TestRootCounting:
 
 
 class TestHyperbolicity:
+    @staticmethod
+    def loop_reference(form, direction_count, tol=REAL_ROOT_RTOL):
+        """Direction by direction, in Python floats: the first failing
+        direction whose largest |Im root| beats the running witness by a
+        relative 1e-9 takes over."""
+        angles = [TAU * j / direction_count for j in range(direction_count)]
+        if not any(math.isclose(a, math.pi / 2.0, abs_tol=1e-15) for a in angles):
+            angles.append(math.pi / 2.0)
+        max_imag_seen = 0.0
+        worst_failure = -1.0
+        witness = None
+        for angle in angles:
+            x0, y0 = -math.cos(angle), -math.sin(angle)
+            count, roots = scalar_root_count(scalar_restriction(form, x0, y0), tol)
+            top_imag = float(np.max(np.abs(roots.imag)))
+            max_imag_seen = max(max_imag_seen, top_imag)
+            if count < form.degree and top_imag > worst_failure * (1.0 + 1e-9):
+                worst_failure = top_imag
+                witness = (angle, (x0, y0), roots)
+        if witness is None:
+            return HyperbolicityVerdict(True, max_imag_seen, direction_count, tol)
+        angle, direction, roots = witness
+        return HyperbolicityVerdict(
+            False, worst_failure, direction_count, tol, angle, direction, roots
+        )
+
+    @staticmethod
+    def scan_reference(values):
+        """Value by value: one beating the pick by a relative 1e-9 takes over."""
+        worst, pick = -1.0, None
+        for idx, value in enumerate(values):
+            if value > worst * (1.0 + 1e-9):
+                worst, pick = value, idx
+        return pick
+
+    def test_witness_scan_matches_sequential_rule(self):
+        # Steps of 0.6e-9 build near-tie chains: one step stays inside the
+        # margin, two pass it.
+        rng = np.random.default_rng(47)
+        for _ in range(500):
+            size = int(rng.integers(1, 16))
+            values = rng.uniform(0.5, 1.5) * (1.0 + 0.6e-9) ** rng.integers(0, 7, size)
+            values[rng.random(size) < 0.3] *= rng.uniform(0.0, 1.0)
+            assert _witness_index(values) == self.scan_reference(values)
+        ramp = np.linspace(1.0, 2.0, 1000)
+        assert _witness_index(ramp) == self.scan_reference(ramp) == 999
+
+    @pytest.mark.parametrize("direction_count", [1, 5, 7, 90, 720, 721])
+    def test_dual_quartic_matches_loop_reference(self, direction_count):
+        got = hyperbolicity_test(dual_quartic(), direction_count)
+        want = self.loop_reference(dual_quartic(), direction_count)
+        assert got.to_dict() == want.to_dict()
+
+    def test_random_forms_match_loop_reference(self):
+        rng = np.random.default_rng(43)
+        forms = [random_form(rng, degree) for degree in range(1, 6) for _ in range(6)]
+        forms += [kippenhahn_form(random_complex_matrix(rng, dim)) for dim in (2, 3, 4, 5)]
+        verdicts = set()
+        for form in forms:
+            direction_count = int(rng.integers(3, 200))
+            got = hyperbolicity_test(form, direction_count)
+            want = self.loop_reference(form, direction_count)
+            assert got.hyperbolic == want.hyperbolic
+            assert got.witness_theta == want.witness_theta
+            assert got.witness_direction == want.witness_direction
+            assert got.max_imag == pytest.approx(want.max_imag, rel=1e-12, abs=1e-12)
+            if not got.hyperbolic:
+                gap = np.abs(got.witness_roots - want.witness_roots)
+                assert np.all(gap <= 1e-12 * (1.0 + np.abs(want.witness_roots)))
+            verdicts.add(got.hyperbolic)
+        assert verdicts == {True, False}
+
+    def test_oversized_direction_count_refused(self):
+        count = SWEEP_BYTE_CAP // (16 * 25) + 1
+        with pytest.raises(ValueError, match="cap"):
+            hyperbolicity_test(dual_quartic(), count)
+        with pytest.raises(ValueError, match="direction_count"):
+            hyperbolicity_test(dual_quartic(), 0)
+
     def test_cone_form_hyperbolic(self):
         form = TernaryForm(
             degree=2, coefficients={(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 2): -1.0}
@@ -285,6 +440,55 @@ class TestHyperbolicity:
 
 
 class TestNonrepresentability:
+    @staticmethod
+    def boundary_loop_reference(count):
+        """Ray by ray, 80 scalar bisection steps each."""
+        quartic = boundary_quartic()
+        center = np.array([-0.5, 0.0])
+        points = [np.array([1.5, 0.0])]
+        for idx in range(count - 1):
+            angle = TAU * (idx + 0.37) / count
+            direction = np.array([math.cos(angle), math.sin(angle)])
+
+            def radial(r):
+                p = center + r * direction
+                return evaluate_form(quartic, 1.0, p[0], p[1])
+
+            lo, hi = 0.0, 4.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if radial(mid) <= 0:
+                    lo = mid
+                else:
+                    hi = mid
+            points.append(center + 0.5 * (lo + hi) * direction)
+        return np.asarray(points)
+
+    @staticmethod
+    def duality_loop_reference(points):
+        """Largest |dual(unit tangent)| over the points, one point at a time."""
+        worst = 0.0
+        for x, y in points:
+            tangent = scalar_gradient(boundary_quartic(), 1.0, float(x), float(y))
+            tangent = tangent / np.linalg.norm(tangent)
+            worst = max(worst, abs(evaluate_form(dual_quartic(), *tangent)))
+        return worst
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 5, 24, 32, 100])
+    def test_boundary_points_match_loop_reference(self, count):
+        assert np.array_equal(quartic_boundary_points(count), self.boundary_loop_reference(count))
+
+    @pytest.mark.parametrize("samples", [5, 32, 100])
+    def test_duality_residual_matches_loop_reference(self, samples):
+        report = nonrepresentability_report(direction_count=8, duality_samples=samples)
+        want = self.duality_loop_reference(quartic_boundary_points(samples))
+        assert abs(report.duality_max_residual - want) <= 1e-13
+
+    def test_oversized_direction_count_refused_before_the_stages(self):
+        with pytest.raises(ValueError, match="cap") as exc:
+            nonrepresentability_report(direction_count=10**8)
+        assert not isinstance(exc.value, PipelineStageError)
+
     def test_full_pipeline(self):
         report = nonrepresentability_report()
         assert not report.verdict.hyperbolic

@@ -264,6 +264,10 @@ class TestSymbol:
             assert max_norm(batch[i] - want) < 1e-13
             assert max_norm(symbol(spec, theta) - want) < 1e-13
 
+    def test_empty_batch(self):
+        spec = random_spec(np.random.default_rng(18), 3, 2)
+        assert symbol_batch(spec, []).shape == (0, 3, 3)
+
     def test_hermitian_transfer(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
