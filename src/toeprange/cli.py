@@ -25,7 +25,9 @@ import numpy as np
 from . import svg
 from .curves import (
     NonrepresentabilityReport,
+    _check_direction_count,
     boundary_quartic,
+    dual_quartic,
     ellipse_family_residual,
     envelope_residual,
     ellipse_family,
@@ -201,6 +203,8 @@ def counterexample_doc(
     *, theta_count: int, phi_count: int, direction_count: int
 ) -> tuple[dict, str]:
     """Machine-readable counterexample pipeline report plus a summary."""
+    # Refuse an oversized certificate before the sweep, not after it.
+    _check_direction_count(direction_count, dual_quartic().degree)
     spec = counterexample_spec()
     report = operator_range(spec, theta_count, phi_count)
     vertices = report.polygon.vertices
@@ -323,6 +327,8 @@ def _check_args(args: argparse.Namespace) -> None:
         raise SpecError("phi-count must be >= 3")
     if getattr(args, "overlay_thetas", 0) < 0:
         raise SpecError("overlay-thetas must be >= 0")
+    if getattr(args, "overlay_thetas", 0) > 0 and args.format != "svg":
+        raise SpecError("overlay-thetas applies only to SVG output (--format svg)")
     if getattr(args, "direction_count", 1) < 1:
         raise SpecError("direction-count must be >= 1")
     if not np.isfinite(getattr(args, "theta", 0.0)):

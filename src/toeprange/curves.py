@@ -16,18 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix
+from .linalg import as_matrix, hermitian_solve, rotated_hermitian_part
 from .ranges import SWEEP_BYTE_CAP
 
 TAU = 2.0 * math.pi
 KIPPENHAHN_SIZE_CAP = 12
 REAL_ROOT_RTOL = 1e-7
-KIPPENHAHN_FIT_RTOL = 1e-8
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-
-class InterpolationError(RuntimeError):
-    """Kippenhahn coefficient fit missed its residual contract."""
 
 
 class PipelineStageError(RuntimeError):
@@ -219,18 +213,10 @@ def _poly2_mul(p: dict, q: dict) -> dict:
 def family_discriminant(family: ConicFamilyCoefficients) -> dict[tuple[int, int], float]:
     """Expanded coefficients of ``alpha^2 + beta^2 - gamma^2``.
 
-    Exact when the family coefficients are integers (Python number
-    arithmetic, no floating point rounding for int inputs).
+    Exact when the family coefficients are small integers: their float
+    products and sums are integers well below 2^53, so nothing rounds.
     """
-
-    def as_numbers(poly):
-        return {
-            k: int(v) if float(v).is_integer() else float(v) for k, v in poly.items()
-        }
-
-    a = as_numbers(family.alpha)
-    b = as_numbers(family.beta)
-    g = as_numbers(family.gamma)
+    a, b, g = family.alpha, family.beta, family.gamma
     out: dict[tuple[int, int], float] = {}
     for term, sign in ((_poly2_mul(a, a), 1), (_poly2_mul(b, b), 1), (_poly2_mul(g, g), -1)):
         for key, value in term.items():
@@ -260,61 +246,40 @@ def ellipse_family_residual(theta, t):
     return a * np.cos(theta) + b * np.sin(theta) + g
 
 
-def _fibonacci_disk(count: int) -> np.ndarray:
-    i = np.arange(count)
-    radius = np.sqrt((i + 0.5) / count)
-    angle = i * _GOLDEN_ANGLE
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
-
-
 def kippenhahn_form(b) -> TernaryForm:
     """Kippenhahn polynomial ``det(t I + x Re(B) + y Im(B))`` of a square
-    matrix, recovered by determinant sampling on the t = 1 chart.
+    matrix, built from rotated Hermitian eigenvalues.
 
-    Determinants are evaluated on a deterministic Fibonacci disk lattice
-    scaled to the pencil's norm, the monomial coefficients are fit by least
-    squares, and the fit residual is required to stay below
-    ``KIPPENHAHN_FIT_RTOL * (1 + max |det|)``.
+    At (x, y) = (cos a, sin a) it is ``det(t I + Re(e^{-ia} B))``, whose
+    t^(size - k) coefficient is e_k of the eigenvalues, so one eigensolve at
+    the size + 1 directions ``pi j / (size + 1)`` and one small solve per
+    degree k give the monomials of degree k in (x, y).  The eigenvalues are
+    scaled into [-1, 1] first, and scaled coefficients at most 1e-12 dropped.
     """
     m = as_matrix(b)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("Kippenhahn polynomial needs a square matrix")
     size = m.shape[0]
     if size > KIPPENHAHN_SIZE_CAP:
-        raise ValueError(f"matrix size {size} exceeds the fit budget {KIPPENHAHN_SIZE_CAP}")
-    herm = 0.5 * (m + adjoint(m))
-    skew = (m - adjoint(m)) / 2j
-    monomials = [(a, c) for a in range(size + 1) for c in range(size + 1 - a)]
-    lattice = _fibonacci_disk(2 * len(monomials))
-    scale = 1.0 / (1.0 + max(np.linalg.norm(herm, 2), np.linalg.norm(skew, 2)))
-    xs = scale * lattice[:, 0]
-    ys = scale * lattice[:, 1]
-    pencil = (
-        np.eye(size)[None, :, :]
-        + xs[:, None, None] * herm[None, :, :]
-        + ys[:, None, None] * skew[None, :, :]
+        raise ValueError(f"matrix size {size} exceeds the cap {KIPPENHAHN_SIZE_CAP}")
+    angles = math.pi * np.arange(size + 1) / (size + 1)
+    values = hermitian_solve(
+        np.linalg.eigvalsh, np.stack([rotated_hermitian_part(m, a) for a in angles])
     )
-    dets = np.linalg.det(pencil).real
-    vandermonde = np.stack(
-        [lattice[:, 0] ** a * lattice[:, 1] ** c for a, c in monomials], axis=1
-    )
-    coeffs, _, _, singular = np.linalg.lstsq(vandermonde, dets, rcond=None)
-    condition = float(singular[0] / singular[-1]) if singular[-1] > 0 else math.inf
-    residual = float(np.max(np.abs(vandermonde @ coeffs - dets)))
-    if residual > KIPPENHAHN_FIT_RTOL * (1.0 + float(np.max(np.abs(dets)))):
-        raise InterpolationError(
-            f"fit residual {residual:.3e} with condition estimate {condition:.3e}"
-        )
-    top = float(np.max(np.abs(coeffs)))
+    radius = float(np.max(np.abs(values))) or 1.0
+    elementary = np.array([np.poly(-row) for row in values / radius])
+    cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
     coefficients = {}
-    for (a, c), value in zip(monomials, coeffs):
-        unscaled = value / scale ** (a + c)
-        if abs(value) > 1e-10 * top:
-            coefficients[(size - a - c, a, c)] = unscaled
+    for k in range(size + 1):
+        powers = np.arange(k + 1)
+        block = np.linalg.lstsq(
+            cos ** (k - powers) * sin**powers, elementary[:, k], rcond=None
+        )[0]
+        for p, value in zip(powers, block):
+            if abs(value) > 1e-12:
+                coefficients[(size - k, k - p, p)] = value * radius**k
     return TernaryForm(degree=size, coefficients=coefficients)
 
 
-def _companion_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Companion-matrix roots of real polynomials, one per row of descending
     coefficients with a nonzero leading one, each row sorted by (real, imag),
     and each row's count of real roots as ``univariate_real_root_count``."""
@@ -324,16 +289,14 @@ def _companion_roots(coeffs: np.ndarray, tol: float) -> tuple[np.ndarray, np.nda
     companion[:, np.arange(1, degree), np.arange(0, degree - 1)] = 1.0
     roots = np.linalg.eigvals(companion)
     roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
-    return roots, np.sum(np.abs(roots.imag) <= tol * (1.0 + np.abs(roots)), axis=-1)
+    return roots, np.sum(np.abs(roots.imag) <= REAL_ROOT_RTOL * (1.0 + np.abs(roots)), axis=-1)
 
 
-def univariate_real_root_count(
-    coeffs, tol: float = REAL_ROOT_RTOL
-) -> tuple[int, np.ndarray]:
+def univariate_real_root_count(coeffs) -> tuple[int, np.ndarray]:
     """All roots of a real polynomial (descending coefficients) via the
     eigenvalues of its companion matrix, plus the count of real ones.
 
-    A root counts as real when ``|Im| <= tol * (1 + |root|)``.
+    A root counts as real when ``|Im| <= REAL_ROOT_RTOL * (1 + |root|)``.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     nonzero = np.nonzero(c)[0]
@@ -342,7 +305,7 @@ def univariate_real_root_count(
     c = c[nonzero[0] :]
     if c.size == 1:
         return 0, np.zeros(0, dtype=complex)
-    roots, counts = _companion_roots(c[None, :], tol)
+    roots, counts = _companion_roots(c[None, :])
     return int(counts[0]), roots[0]
 
 
@@ -421,11 +384,10 @@ def _witness_index(values: np.ndarray) -> int:
     return int(pick)
 
 
-def hyperbolicity_test(
-    form: TernaryForm, direction_count: int = 720, tol: float = REAL_ROOT_RTOL
-) -> HyperbolicityVerdict:
+def hyperbolicity_test(form: TernaryForm, direction_count: int = 720) -> HyperbolicityVerdict:
     """Check whether every directional restriction ``F(t, -cos a, -sin a)``
-    has only real roots.
+    has only real roots, each within ``REAL_ROOT_RTOL`` as in
+    ``univariate_real_root_count``.
 
     Failure is certified by the worst witness direction; success is a
     sampled property, not a certificate.  The direction grid always
@@ -439,17 +401,19 @@ def hyperbolicity_test(
     if direction_count % 4:  # the grid misses pi/2
         angles = np.append(angles, math.pi / 2.0)
     x0, y0 = -np.cos(angles), -np.sin(angles)
-    roots, counts = _companion_roots(restrict_to_direction(form, x0, y0), tol)
+    roots, counts = _companion_roots(restrict_to_direction(form, x0, y0))
     top_imag = np.max(np.abs(roots.imag), axis=1)
     failing = np.flatnonzero(counts < form.degree)
     if failing.size == 0:
-        return HyperbolicityVerdict(True, float(np.max(top_imag)), direction_count, tol)
+        return HyperbolicityVerdict(
+            True, float(np.max(top_imag)), direction_count, REAL_ROOT_RTOL
+        )
     witness = failing[_witness_index(top_imag[failing])]
     return HyperbolicityVerdict(
         hyperbolic=False,
         max_imag=float(top_imag[witness]),
         direction_count=direction_count,
-        tol=tol,
+        tol=REAL_ROOT_RTOL,
         witness_theta=float(angles[witness]),
         witness_direction=(float(x0[witness]), float(y0[witness])),
         witness_roots=roots[witness],

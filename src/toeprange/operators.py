@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MATRIX_SIZE_CAP, max_norm
+from .linalg import HERMITICITY_RTOL, MATRIX_SIZE_CAP, max_norm
 
 TAU = 2.0 * math.pi
 # Specs storing more than this many entries, (2*band + 1) * period, are
@@ -197,9 +197,10 @@ def free_jacobi_spec() -> PeriodicBandedSpec:
     return PeriodicBandedSpec(period=1, band=1, diagonals={-1: [1.0], 1: [1.0]})
 
 
-def is_selfadjoint(spec: PeriodicBandedSpec, rtol: float = 1e-12) -> bool:
-    """Whether every truncation is Hermitian: a_j^(-r) = conj(a_{j-r}^(r))."""
-    tol = rtol * (1.0 + spec.max_entry())
+def is_selfadjoint(spec: PeriodicBandedSpec) -> bool:
+    """Whether every truncation is Hermitian: a_j^(-r) = conj(a_{j-r}^(r)),
+    within ``HERMITICITY_RTOL * (1 + max |entry|)``."""
+    tol = HERMITICITY_RTOL * (1.0 + spec.max_entry())
     idx = np.arange(spec.period)
     for r in range(0, spec.band + 1):
         lower = spec.diagonal(-r)

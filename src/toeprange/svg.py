@@ -11,6 +11,7 @@ import numpy as np
 
 MARGIN_FRACTION = 0.05
 MIN_SPAN_FRACTION = 0.1
+FIGURE_SIZE = 640
 
 
 def _fmt(value: float) -> str:
@@ -23,13 +24,9 @@ def _path(points: np.ndarray, transform, closed: bool) -> str:
     return f"M {body}" + (" Z" if closed else "")
 
 
-def range_figure(
-    polygon_vertices,
-    overlays=(),
-    width: int = 640,
-    height: int = 640,
-) -> str:
-    """Render the hull polygon plus optional (label, vertices) overlays.
+def range_figure(polygon_vertices, overlays=()) -> str:
+    """Render the hull polygon plus optional (label, vertices) overlays on a
+    ``FIGURE_SIZE`` square.
 
     Degenerate hulls (single point, segment) render as a dot or a line.
     The view box is fitted to all drawn data with a 5% margin; neither side
@@ -45,13 +42,13 @@ def range_figure(
     center = 0.5 * (low + high)
     xmin, ymin = center - (0.5 + MARGIN_FRACTION) * span
     xmax, ymax = center + (0.5 + MARGIN_FRACTION) * span
-    scale = min(width / (xmax - xmin), height / (ymax - ymin))
+    scale = FIGURE_SIZE / max(xmax - xmin, ymax - ymin)
 
     def transform(x, y):
         return (x - xmin) * scale, (ymax - y) * scale
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{FIGURE_SIZE}" height="{FIGURE_SIZE}" '
         f'viewBox="0 0 {_fmt((xmax - xmin) * scale)} {_fmt((ymax - ymin) * scale)}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]

@@ -392,6 +392,24 @@ class TestConfigValidation:
     def test_non_finite_tol_scale(self):
         assert cli.main(["verify", COUNTEREXAMPLE, "--tol-scale", "nan"]) == 3
 
+    def test_oversized_direction_count_refused_before_the_sweep(self, monkeypatch, capsys):
+        def sweep(*args, **kwargs):
+            raise AssertionError("operator_range ran")
+
+        monkeypatch.setattr(cli, "operator_range", sweep)
+        assert cli.main(["counterexample", "--direction-count", "100000000"]) == 3
+        captured = capsys.readouterr()
+        assert "cap" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("fmt", ["report-doc", "flat-table"])
+    def test_overlays_refused_outside_svg(self, capsys, fmt):
+        argv = ["range", COUNTEREXAMPLE, "--theta-count", "3", "--phi-count", "3",
+                "--format", fmt]
+        assert cli.main([*argv, "--overlay-thetas", "5"]) == 3
+        captured = capsys.readouterr()
+        assert "only to SVG" in captured.err and captured.out == ""
+        assert cli.main([*argv, "--overlay-thetas", "0"]) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

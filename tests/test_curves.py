@@ -12,6 +12,7 @@ from toeprange.curves import (
     NonrepresentabilityReport,
     evaluate_bivariate,
     HyperbolicityVerdict,
+    KIPPENHAHN_SIZE_CAP,
     PipelineStageError,
     REAL_ROOT_RTOL,
     TernaryForm,
@@ -31,6 +32,7 @@ from toeprange.curves import (
     restrict_to_direction,
     univariate_real_root_count,
 )
+from toeprange.linalg import EigenSolverError
 from toeprange.operators import TAU
 from toeprange.ranges import SWEEP_BYTE_CAP, matrix_numerical_range
 
@@ -252,6 +254,71 @@ class TestKippenhahnForm:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             kippenhahn_form(np.eye(13))
+
+    def test_non_square_refused(self):
+        with pytest.raises(ValueError):
+            kippenhahn_form(np.ones((2, 3)))
+
+    def test_determinant_identity_at_every_size(self):
+        # |F(t, x, y) - det(tI + x Re B + y Im B)| / (|t| + |B|_2 |(x, y)|)^n,
+        # on matrices of norm 1e-3 to 1e3
+        rng = np.random.default_rng(47)
+        for dim in range(1, KIPPENHAHN_SIZE_CAP + 1):
+            for _ in range(3):
+                b = 10.0 ** rng.uniform(-3, 3) * random_complex_matrix(rng, dim)
+                herm, skew = 0.5 * (b + b.conj().T), (b - b.conj().T) / 2j
+                form = kippenhahn_form(b)
+                t, x, y = rng.standard_normal((3, 20))
+                pencil = (
+                    t[:, None, None] * np.eye(dim)
+                    + x[:, None, None] * herm
+                    + y[:, None, None] * skew
+                )
+                scale = (np.abs(t) + np.linalg.norm(b, 2) * np.hypot(x, y)) ** dim
+                error = np.abs(evaluate_form(form, t, x, y) - np.linalg.det(pencil).real)
+                assert np.max(error / scale) <= 1e-12, dim
+
+    @staticmethod
+    def linear_form_product(diagonal):
+        """Exact coefficients of the product of t + x Re(d) + y Im(d) over
+        Gaussian-integer entries d, in Python int arithmetic."""
+        product = {(0, 0, 0): 1}
+        for d in diagonal:
+            factor = {(1, 0, 0): 1, (0, 1, 0): int(d.real), (0, 0, 1): int(d.imag)}
+            grown = {}
+            for (i, j, k), c in product.items():
+                for (a, b, e), f in factor.items():
+                    key = (i + a, j + b, k + e)
+                    grown[key] = grown.get(key, 0) + c * f
+            product = grown
+        return {key: c for key, c in product.items() if c != 0}
+
+    def test_normal_matrices_factor_into_linear_forms(self):
+        rng = np.random.default_rng(48)
+        for dim in range(1, KIPPENHAHN_SIZE_CAP + 1):
+            ramp = np.arange(1, dim + 1) - dim // 2
+            diagonals = [
+                rng.integers(-2, 3, dim) + 1j * rng.integers(-2, 3, dim),
+                ramp + 0j,
+                1j * ramp,
+                np.resize([1 + 2j, -1 - 2j, 2 - 1j, -2 + 1j], dim),
+            ]
+            for diagonal in diagonals:
+                form = kippenhahn_form(np.diag(diagonal))
+                want = self.linear_form_product(diagonal)
+                assert set(form.coefficients) == set(want), diagonal
+                norm = np.max(np.abs(diagonal))
+                for (i, j, k), value in want.items():
+                    got = form.coefficients[(i, j, k)]
+                    assert abs(got - value) <= 1e-12 * norm ** (j + k), diagonal
+
+    def test_eigensolver_failure_is_reported(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(EigenSolverError):
+            kippenhahn_form(np.array([[1.0, 2.0], [0.0, 1j]]))
 
     def test_kippenhahn_forms_are_hyperbolic(self):
         rng = np.random.default_rng(41)
