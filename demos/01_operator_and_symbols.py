@@ -47,7 +47,7 @@ s, r = 4, 1
 phi = symbol(spec, 2 * np.pi * r / s)
 values, vectors = np.linalg.eig(phi)
 lam, v = values[0], vectors[:, 0]
-lifted = lift_eigenvector(v, r, s).lifted
+lifted = lift_eigenvector(v, r, s)
 c = c_mu(spec, s)
 print(f"\nlift residual |C_mu w - lambda w| =",
       np.linalg.norm(c @ lifted - lam * lifted))

@@ -322,20 +322,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_args(args: argparse.Namespace) -> None:
     """Refuse option values no command can use, before any work starts."""
     if getattr(args, "theta_count", 1) < 1:
-        raise SpecError("theta-count must be >= 1")
+        raise ValueError("theta-count must be >= 1")
     if getattr(args, "phi_count", 3) < 3:
-        raise SpecError("phi-count must be >= 3")
+        raise ValueError("phi-count must be >= 3")
     if getattr(args, "overlay_thetas", 0) < 0:
-        raise SpecError("overlay-thetas must be >= 0")
+        raise ValueError("overlay-thetas must be >= 0")
     if getattr(args, "overlay_thetas", 0) > 0 and args.format != "svg":
-        raise SpecError("overlay-thetas applies only to SVG output (--format svg)")
+        raise ValueError("overlay-thetas applies only to SVG output (--format svg)")
     if getattr(args, "direction_count", 1) < 1:
-        raise SpecError("direction-count must be >= 1")
+        raise ValueError("direction-count must be >= 1")
     if not np.isfinite(getattr(args, "theta", 0.0)):
-        raise SpecError("theta must be finite")
+        raise ValueError("theta must be finite")
     tol_scale = getattr(args, "tol_scale", 1.0)
     if not (np.isfinite(tol_scale) and tol_scale > 0):
-        raise SpecError("tol-scale must be finite and > 0")
+        raise ValueError("tol-scale must be finite and > 0")
 
 
 def main(argv=None) -> int:

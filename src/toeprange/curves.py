@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_solve, rotated_hermitian_part
+from .linalg import as_matrix, lapack, rotated_hermitian_part
 from .ranges import SWEEP_BYTE_CAP
 
 TAU = 2.0 * math.pi
@@ -261,7 +261,7 @@ def kippenhahn_form(b) -> TernaryForm:
     if size > KIPPENHAHN_SIZE_CAP:
         raise ValueError(f"matrix size {size} exceeds the cap {KIPPENHAHN_SIZE_CAP}")
     angles = math.pi * np.arange(size + 1) / (size + 1)
-    values = hermitian_solve(
+    values = lapack(
         np.linalg.eigvalsh, np.stack([rotated_hermitian_part(m, a) for a in angles])
     )
     radius = float(np.max(np.abs(values))) or 1.0
@@ -270,8 +270,8 @@ def kippenhahn_form(b) -> TernaryForm:
     coefficients = {}
     for k in range(size + 1):
         powers = np.arange(k + 1)
-        block = np.linalg.lstsq(
-            cos ** (k - powers) * sin**powers, elementary[:, k], rcond=None
+        block = lapack(
+            np.linalg.lstsq, cos ** (k - powers) * sin**powers, elementary[:, k], rcond=None
         )[0]
         for p, value in zip(powers, block):
             if abs(value) > 1e-12:
@@ -287,7 +287,7 @@ def _companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     companion = np.zeros((coeffs.shape[0], degree, degree))
     companion[:, 0, :] = -(coeffs[:, 1:] / coeffs[:, :1])
     companion[:, np.arange(1, degree), np.arange(0, degree - 1)] = 1.0
-    roots = np.linalg.eigvals(companion)
+    roots = lapack(np.linalg.eigvals, companion)
     roots = np.take_along_axis(roots, np.lexsort((roots.imag, roots.real), axis=-1), axis=-1)
     return roots, np.sum(np.abs(roots.imag) <= REAL_ROOT_RTOL * (1.0 + np.abs(roots)), axis=-1)
 

@@ -1,4 +1,5 @@
-"""Dense complex matrix plumbing and the Hermitian eigensolver facade.
+"""Dense complex matrix plumbing, the Hermitian eigensolver and the LAPACK
+facade ``lapack`` that every ``numpy.linalg`` decomposition goes through.
 
 Every matrix in this package is a plain ``numpy.ndarray`` with complex
 entries, validated once on the way in (finite entries, sane shape) and then
@@ -85,15 +86,16 @@ class HermitianEigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def hermitian_solve(solver, h):
-    """Apply ``np.linalg.eigh`` or ``np.linalg.eigvalsh`` (``solver``) to a
-    Hermitian matrix or stack.  A convergence failure raises
-    ``EigenSolverError``, not the ``LinAlgError`` that is a ``ValueError``
-    and would read as invalid input."""
+def lapack(solver, *args, **kwargs):
+    """Apply a ``numpy.linalg`` decomposition such as ``np.linalg.eigh``
+    (``solver``).  A LAPACK failure raises ``EigenSolverError``, not the
+    ``LinAlgError`` that is a ``ValueError`` and would read as invalid input."""
     try:
-        return solver(h)
+        return solver(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"Hermitian eigensolver did not converge: {exc}") from exc
+        raise EigenSolverError(
+            f"eigensolver did not converge in {solver.__name__}: {exc}"
+        ) from exc
 
 
 def eigh(h) -> HermitianEigenDecomposition:
@@ -109,12 +111,9 @@ def eigh(h) -> HermitianEigenDecomposition:
     if hermiticity_defect(m) > HERMITICITY_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     sym = 0.5 * (m + m.conj().T)
-    if np.all(sym.imag == 0.0):
-        values, vectors = hermitian_solve(np.linalg.eigh, sym.real)
-        vectors = vectors.astype(complex)
-    else:
-        values, vectors = hermitian_solve(np.linalg.eigh, sym)
+    values, vectors = lapack(np.linalg.eigh, sym.real if np.all(sym.imag == 0.0) else sym)
     values = np.asarray(values, dtype=float)
+    vectors = vectors.astype(complex, copy=False)
     ortho = max_norm(vectors.conj().T @ vectors - np.eye(m.shape[0]))
     if ortho > ORTHONORMALITY_TOL:
         raise EigenSolverError(f"eigenvector orthonormality defect {ortho:.3e}")

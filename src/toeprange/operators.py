@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HERMITICITY_RTOL, MATRIX_SIZE_CAP, max_norm
+from .linalg import HERMITICITY_RTOL, MATRIX_SIZE_CAP, lapack, max_norm
 
 TAU = 2.0 * math.pi
 # Specs storing more than this many entries, (2*band + 1) * period, are
@@ -311,21 +311,10 @@ def block_diagonalization_residual(spec: PeriodicBandedSpec, s: int) -> float:
     return max_norm(conjugated - assembled)
 
 
-@dataclass(frozen=True)
-class LiftedEigenvector:
-    """Eigenvector of a symbol replicated into an eigenvector of ``C_mu``.
-
-    ``lifted[p + u(n+1)] = base[p] * rho**(u * frequency)`` with
-    ``rho = exp(2 pi i / replication)``.
-    """
-
-    base: np.ndarray
-    replication: int
-    frequency: int
-    lifted: np.ndarray
-
-
-def lift_eigenvector(v, frequency: int, replication: int) -> LiftedEigenvector:
+def lift_eigenvector(v, frequency: int, replication: int) -> np.ndarray:
+    """Eigenvector of a symbol replicated into an eigenvector of ``C_mu``:
+    entry ``p + u(n+1)`` is ``v[p] * rho**(u * frequency)`` with
+    ``rho = exp(2 pi i / replication)``."""
     base = np.asarray(v, dtype=complex)
     if base.ndim != 1:
         raise ValueError("eigenvector must be one-dimensional")
@@ -333,31 +322,30 @@ def lift_eigenvector(v, frequency: int, replication: int) -> LiftedEigenvector:
         raise ValueError(f"frequency {frequency} not in 0..{replication - 1}")
     phases = np.exp(2j * np.pi * frequency * np.arange(replication) / replication)
     lifted = (phases[:, None] * base[None, :]).ravel()
-    base = base.copy()
-    base.flags.writeable = False
     lifted.flags.writeable = False
-    return LiftedEigenvector(
-        base=base, replication=replication, frequency=frequency, lifted=lifted
-    )
+    return lifted
 
 
 def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
-    """Largest normalized gap between characteristic coefficients of
-    ``C_mu`` and of the direct sum of symbols at s-th roots of unity.
+    """Largest gap between ``log|det(z - C_mu)|`` and the same sum over the
+    eigenvalues of the symbols at the s-th roots of unity, taken at 64
+    points z on the circle ``|z| = 2(1 + max|lambda|)``.
 
-    Eigenvalue multisets agree exactly in exact arithmetic; this returns
-    the floating-point mismatch, compared per coefficient relative to
-    ``1 + |c1| + |c2|``.
+    Two monic polynomials whose moduli agree on a circle enclosing their
+    roots are equal, so the eigenvalue multisets agree exactly in exact
+    arithmetic; this returns the floating-point mismatch.  On that circle
+    every factor ``|1 - lambda/z|`` lies in [1/2, 3/2], so the sums are
+    well conditioned at any mu.
     """
     _check_replication(spec, s)
-    from_c = np.poly(np.linalg.eigvals(c_mu(spec, s)))
-    from_blocks = np.array([1.0 + 0.0j])
-    for block in symbol_batch(spec, TAU * np.arange(s) / s):
-        from_blocks = np.convolve(from_blocks, np.poly(np.linalg.eigvals(block)))
-    gaps = np.abs(from_c - from_blocks) / (
-        1.0 + np.abs(from_c) + np.abs(from_blocks)
+    whole = lapack(np.linalg.eigvals, c_mu(spec, s))
+    blocks = lapack(np.linalg.eigvals, symbol_batch(spec, TAU * np.arange(s) / s)).ravel()
+    radius = 2.0 * (1.0 + max(np.max(np.abs(whole)), np.max(np.abs(blocks))))
+    z = radius * np.exp(1j * TAU * np.arange(64) / 64)[:, None]
+    gaps = np.sum(np.log(np.abs(1.0 - whole / z)), axis=1) - np.sum(
+        np.log(np.abs(1.0 - blocks / z)), axis=1
     )
-    return float(np.max(gaps))
+    return float(np.max(np.abs(gaps)))
 
 
 def lifting_residual_max(spec: PeriodicBandedSpec, s: int) -> float:
@@ -366,11 +354,11 @@ def lifting_residual_max(spec: PeriodicBandedSpec, s: int) -> float:
     ``1 + |lambda|``."""
     _check_replication(spec, s)
     c = c_mu(spec, s)
+    values, vectors = lapack(np.linalg.eig, symbol_batch(spec, TAU * np.arange(s) / s))
     worst = 0.0
-    for r, phi in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
-        values, vectors = np.linalg.eig(phi)
-        for lam, vec in zip(values, vectors.T):
-            lifted = lift_eigenvector(vec, r, s).lifted
+    for r in range(s):
+        for lam, vec in zip(values[r], vectors[r].T):
+            lifted = lift_eigenvector(vec, r, s)
             w = lifted / np.linalg.norm(lifted)
             residual = float(np.linalg.norm(c @ w - lam * w)) / (1.0 + abs(lam))
             worst = max(worst, residual)

@@ -283,9 +283,9 @@ def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
             rotated = phases[None, :, None, None] * part[:, None, :, :]
             herm = 0.5 * (rotated + np.conj(np.swapaxes(rotated, -1, -2)))
             if want_points:
-                values, vectors = linalg.hermitian_solve(np.linalg.eigh, herm)
+                values, vectors = linalg.lapack(np.linalg.eigh, herm)
             else:
-                values = linalg.hermitian_solve(np.linalg.eigvalsh, herm)
+                values = linalg.lapack(np.linalg.eigvalsh, herm)
             # (columns, eigenpair index, sign): column j takes the top pair;
             # for even P, column j + P/2 takes the bottom pair, negated.
             targets = [(cols, -1, 1.0)]

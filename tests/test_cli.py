@@ -366,6 +366,13 @@ class TestEigensolverFailure:
         assert code == 1
         assert "eigensolver did not converge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("routine", ["eigvals", "eig"])
+    def test_structural_check_failure_exits_1(self, monkeypatch, capsys, routine):
+        monkeypatch.setattr(np.linalg, routine, self.fail)
+        code = cli.main(["verify", FREE_JACOBI, "--theta-count", "8", "--phi-count", "8"])
+        assert code == 1
+        assert "eigensolver did not converge" in capsys.readouterr().err
+
     def test_recursion_error_after_reading_is_not_a_read_error(self, monkeypatch, capsys):
         def overflow(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
@@ -379,6 +386,15 @@ class TestConfigValidation:
     def test_bad_counts(self):
         assert cli.main(["range", COUNTEREXAMPLE, "--theta-count", "0"]) == 3
         assert cli.main(["range", COUNTEREXAMPLE, "--phi-count", "2"]) == 3
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--theta-count", "0"], ["--phi-count", "2"], ["--overlay-thetas", "5"]],
+    )
+    def test_option_errors_are_not_spec_errors(self, capsys, options):
+        assert cli.main(["range", COUNTEREXAMPLE, *options]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid spec" not in err
 
     def test_zero_direction_count(self, capsys):
         assert cli.main(["counterexample", "--direction-count", "0"]) == 3

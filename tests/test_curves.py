@@ -316,9 +316,11 @@ class TestKippenhahnForm:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(EigenSolverError):
-            kippenhahn_form(np.array([[1.0, 2.0], [0.0, 1j]]))
+        for routine in ("eigvalsh", "lstsq"):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, routine, fail)
+                with pytest.raises(EigenSolverError):
+                    kippenhahn_form(np.array([[1.0, 2.0], [0.0, 1j]]))
 
     def test_kippenhahn_forms_are_hyperbolic(self):
         rng = np.random.default_rng(41)
@@ -389,6 +391,14 @@ class TestRootCounting:
     def test_constant_has_no_roots(self):
         count, roots = univariate_real_root_count([5.0])
         assert count == 0 and roots.size == 0
+
+    def test_eigensolver_failure_is_reported(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(EigenSolverError):
+            univariate_real_root_count([1.0, 0.0, -1.0])
 
 
 class TestHyperbolicity:

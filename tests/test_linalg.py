@@ -11,6 +11,7 @@ from toeprange.linalg import (
     adjoint,
     as_matrix,
     eigh,
+    lapack,
     max_norm,
     rotated_hermitian_part,
 )
@@ -193,3 +194,25 @@ class TestEigh:
 
     def test_error_type_exists(self):
         assert issubclass(EigenSolverError, RuntimeError)
+
+
+class TestLapack:
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def test_passes_arguments_through(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([1.0, 2.0])
+        got = lapack(np.linalg.lstsq, a, b, rcond=None)[0]
+        assert np.array_equal(got, np.linalg.lstsq(a, b, rcond=None)[0])
+
+    def test_failure_is_an_eigensolver_error(self):
+        with pytest.raises(EigenSolverError, match="eigensolver did not converge in fail"):
+            lapack(self.fail, np.eye(2))
+
+    def test_eigh_failure(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", self.fail)
+        for h in (np.eye(2), [[1.0, 1j], [-1j, 1.0]]):
+            with pytest.raises(EigenSolverError):
+                eigh(h)

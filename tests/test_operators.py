@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spec_with_s
-from toeprange.linalg import eigh, max_norm
+from toeprange.linalg import EigenSolverError, eigh, max_norm
 from toeprange.operators import (
     SPEC_ENTRY_CAP,
     TAU,
@@ -416,13 +416,13 @@ class TestLifting:
         _, vectors = np.linalg.eig(phi)
         idx = int(np.argmin(np.abs(np.linalg.eigvals(phi) - lam)))
         v = vectors[:, idx]
-        lifted = lift_eigenvector(v, 0, 3).lifted
+        lifted = lift_eigenvector(v, 0, 3)
         c = c_mu(spec, 3)
         assert np.linalg.norm(c @ lifted - lam * lifted) <= 1e-9
 
     def test_scalar_identity_lift(self):
         spec = PeriodicBandedSpec(period=1, band=0, diagonals={0: [4.2]})
-        lifted = lift_eigenvector(np.array([1.0 + 0j]), 2, 5).lifted
+        lifted = lift_eigenvector(np.array([1.0 + 0j]), 2, 5)
         c = c_mu(spec, 5)
         assert np.linalg.norm(c @ lifted - 4.2 * lifted) < 1e-14
 
@@ -434,7 +434,7 @@ class TestLifting:
         rho = np.exp(2j * np.pi / s)
         for u in range(s):
             for p in range(3):
-                assert abs(out.lifted[p + 3 * u] - v[p] * rho ** (u * r)) < 1e-12
+                assert abs(out[p + 3 * u] - v[p] * rho ** (u * r)) < 1e-12
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -468,3 +468,62 @@ class TestLifting:
                 )
             )
             assert np.max(np.abs(from_c - from_blocks)) <= 1e-8
+
+
+class TestStructuralChecks:
+    """``spectrum_match_gap`` and ``lifting_residual_max`` on the specs the
+    ``verify`` benchmark runs (period 8, band 4, seeds 0-9) and on the
+    counterexample, where the characteristic-coefficient comparison used to
+    read up to 1.0."""
+
+    @staticmethod
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def test_spectrum_gap_is_at_rounding_level(self):
+        for seed in range(10):
+            spec = random_spec(np.random.default_rng(seed), 8, 4)
+            for s in (4, 8, 16):
+                assert spectrum_match_gap(spec, s) <= 1e-12, (seed, s)
+        spec = counterexample_spec()
+        for s in (3, 4, 6, 32, 64):
+            assert spectrum_match_gap(spec, s) <= 1e-12, s
+
+    def test_spectrum_gap_at_large_mu(self):
+        spec = random_spec(np.random.default_rng(0), 8, 4)
+        assert spectrum_match_gap(spec, 64) <= 1e-12
+
+    def test_planted_shift_is_detected(self, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def shifted(a):
+            values = eigvals(a)
+            if values.ndim == 2:  # the stack of symbol blocks
+                values[1, 0] += 1e-6
+            return values
+
+        spec = random_spec(np.random.default_rng(0), 8, 4)
+        monkeypatch.setattr(np.linalg, "eigvals", shifted)
+        assert spectrum_match_gap(spec, 4) > 1e-8
+
+    def test_lifting_matches_per_block_eig(self):
+        spec = random_spec(np.random.default_rng(0), 8, 4)
+        s = 4
+        c = c_mu(spec, s)
+        worst = 0.0
+        for r, phi in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
+            values, vectors = np.linalg.eig(phi)
+            for lam, vec in zip(values, vectors.T):
+                w = lift_eigenvector(vec, r, s)
+                w = w / np.linalg.norm(w)
+                worst = max(worst, float(np.linalg.norm(c @ w - lam * w)) / (1.0 + abs(lam)))
+        assert lifting_residual_max(spec, s) == worst
+
+    @pytest.mark.parametrize(
+        "check, routine",
+        [(spectrum_match_gap, "eigvals"), (lifting_residual_max, "eig")],
+    )
+    def test_lapack_failure_is_an_eigensolver_error(self, monkeypatch, check, routine):
+        monkeypatch.setattr(np.linalg, routine, self.fail)
+        with pytest.raises(EigenSolverError):
+            check(counterexample_spec(), 3)

@@ -1,5 +1,7 @@
 """The package's public surface."""
 
+import ast
+import pathlib
 import types
 
 import toeprange
@@ -18,3 +20,29 @@ def test_all_is_every_public_binding():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert set(toeprange.__all__) == public
+
+
+def test_decompositions_go_through_the_linalg_facade():
+    """Outside ``linalg.py`` no module calls a ``numpy.linalg`` routine
+    other than ``norm`` itself; it passes the routine to ``linalg.lapack``,
+    which turns a LAPACK failure into ``EigenSolverError``."""
+    package = pathlib.Path(toeprange.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                offenders.append(f"{path.name}:{node.lineno} imports from numpy.linalg")
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            if (
+                isinstance(owner, ast.Attribute)
+                and owner.attr == "linalg"
+                and isinstance(owner.value, ast.Name)
+                and owner.value.id in ("np", "numpy")
+                and node.func.attr != "norm"
+            ):
+                offenders.append(f"{path.name}:{node.lineno} calls np.linalg.{node.func.attr}")
+    assert offenders == []
