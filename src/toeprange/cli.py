@@ -160,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             _check_replication(spec, s)
         except ValueError as exc:
-            raise SpecError(f"s={s} violates a precondition: {exc}") from exc
+            raise ValueError(f"s={s} violates a precondition: {exc}") from exc
     report = operator_range(spec, args.theta_count, args.phi_count)
     scale = 1.0 + spec.max_entry()
     block_tol = 1e-10 * scale * args.tol_scale

@@ -45,16 +45,6 @@ _ROW_CHUNK = 8192
 # bytes than this are refused before anything is allocated.
 SWEEP_BYTE_CAP = 1 << 30
 
-SAMPLE_DTYPE = np.dtype(
-    [
-        ("theta", float),
-        ("phi", float),
-        ("support_value", float),
-        ("x", float),
-        ("y", float),
-    ]
-)
-
 
 @dataclass(frozen=True)
 class SupportSample:
@@ -130,19 +120,18 @@ class ConvexPolygon:
 
 @dataclass
 class RangeReport:
-    """Result bundle of an operator range sweep."""
+    """Result bundle of an operator range sweep.
+
+    ``samples`` is a (theta_count * phi_count, 3) float array of columns
+    (support value, x, y): the support in direction ``phi`` and a boundary
+    point attaining it.  Rows are theta-major, so row ``i`` belongs to the
+    grid indices ``divmod(i, phi_count)``; the angles are not stored."""
 
     polygon: ConvexPolygon
     samples: np.ndarray
     theta_count: int
     phi_count: int
     residual_summary: dict[str, float] = field(default_factory=dict)
-
-    def _row_chunks(self):
-        """Samples as (k, 5) float arrays of at most ``_ROW_CHUNK`` rows, in
-        ``SAMPLE_DTYPE`` field order."""
-        for start in range(0, self.samples.shape[0], _ROW_CHUNK):
-            yield _sample_rows(self.samples[start : start + _ROW_CHUNK])
 
     def to_dict(self) -> dict:
         """The range document: grid sizes, residuals and the polygon.  The
@@ -162,23 +151,26 @@ class RangeReport:
             raise ValueError("not a range-report document")
         return cls(
             polygon=ConvexPolygon(np.asarray(doc["polygon"], dtype=float)),
-            samples=np.zeros(0, dtype=SAMPLE_DTYPE),
+            samples=np.zeros((0, 3)),
             theta_count=int(doc["theta_count"]),
             phi_count=int(doc["phi_count"]),
             residual_summary=dict(doc["residual_summary"]),
         )
 
     def flat_table(self) -> str:
-        row_format = " ".join(["%.17g"] * len(SAMPLE_DTYPE)) + "\n"
-        pieces = [" ".join(SAMPLE_DTYPE.names) + "\n"]
-        for chunk in self._row_chunks():
-            pieces.append((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        """One ``theta phi support_value x y`` row per sample under a header
+        line; the angles come from the row index, ``_ROW_CHUNK`` rows at a
+        time."""
+        row_format = " ".join(["%.17g"] * 5) + "\n"
+        pieces = ["theta phi support_value x y\n"]
+        for start in range(0, self.samples.shape[0], _ROW_CHUNK):
+            chunk = self.samples[start : start + _ROW_CHUNK]
+            t, p = np.divmod(np.arange(start, start + chunk.shape[0]), self.phi_count)
+            rows = np.column_stack(
+                [TAU * t / self.theta_count, TAU * p / self.phi_count, chunk]
+            )
+            pieces.append((row_format * rows.shape[0]) % tuple(rows.ravel().tolist()))
         return "".join(pieces)
-
-
-def _sample_rows(samples: np.ndarray) -> np.ndarray:
-    """Structured samples as a (k, 5) float array in ``SAMPLE_DTYPE`` order."""
-    return np.column_stack([samples[name] for name in SAMPLE_DTYPE.names])
 
 
 def _hull_tolerance(pts: np.ndarray) -> float:
@@ -258,7 +250,8 @@ def convex_hull(points) -> ConvexPolygon:
 def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
     """Support values (and boundary points) of a stack of matrices over the
     uniform direction grid ``phi_j = 2*pi*j/P``.  ``matrices`` has shape
-    (B, d, d); results have shape (B, P) and (B, P, 2).
+    (B, d, d); the result has shape (B, P, 3), columns (support, x, y), or
+    (B, P, 1) of supports alone without ``want_points``.
 
     For even P, direction ``j + P/2`` is antipodal to ``j``: since
     Re(e^{-i(phi+pi)}A) = -Re(e^{-i phi}A), its support is minus the bottom
@@ -270,8 +263,7 @@ def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
     b, d, _ = mats.shape
     half = phi_count // 2 if phi_count % 2 == 0 else phi_count
     phis = TAU * np.arange(half) / phi_count
-    supports = np.empty((b, phi_count))
-    points = np.empty((b, phi_count, 2)) if want_points else None
+    out = np.empty((b, phi_count, 3 if want_points else 1))
     phi_chunk = max(1, min(half, _CHUNK_ENTRY_BUDGET // (d * d)))
     mat_chunk = max(1, _CHUNK_ENTRY_BUDGET // (phi_chunk * d * d))
     for i0 in range(0, b, mat_chunk):
@@ -292,21 +284,22 @@ def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
             if half < phi_count:
                 targets.append((slice(cols.start + half, cols.stop + half), 0, -1.0))
             for target, end, sign in targets:
-                supports[rows, target] = sign * values[..., end]
+                out[rows, target, 0] = sign * values[..., end]
                 if want_points:
                     v = vectors[..., :, end]
                     rayleigh = np.einsum("cpi,cij,cpj->cp", np.conj(v), part, v)
-                    points[rows, target, 0] = rayleigh.real
-                    points[rows, target, 1] = rayleigh.imag
-    return supports, points
+                    out[rows, target, 1] = rayleigh.real
+                    out[rows, target, 2] = rayleigh.imag
+    return out
 
 
 def _check_sweep_size(period: int, theta_count: int, phi_count: int) -> None:
     """Raise ``ValueError`` when the (theta_count, d, d) complex symbol stack
-    plus the theta_count * phi_count sample arrays (structured row, support
-    value, boundary point) are estimated to exceed ``SWEEP_BYTE_CAP``."""
-    per_sample = SAMPLE_DTYPE.itemsize + 3 * 8
-    estimate = theta_count * (16 * period * period + per_sample * phi_count)
+    plus the theta_count * phi_count samples are estimated to exceed
+    ``SWEEP_BYTE_CAP``.  Each sample is charged 64 bytes: its 24-byte
+    (support, x, y) row plus the hull's working copies, which is what a
+    720 x 720 sweep peaks at per sample."""
+    estimate = theta_count * (16 * period * period + 64 * phi_count)
     if estimate > SWEEP_BYTE_CAP:
         raise ValueError(
             f"a sweep over {theta_count} symbol angles and {phi_count} directions "
@@ -336,15 +329,16 @@ def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError("numerical range needs a square matrix")
-    _, points = _batched_support(m[None, :, :], phi_count, want_points=True)
-    return convex_hull(points.reshape(-1, 2))
+    sweep = _batched_support(m[None, :, :], phi_count, want_points=True)
+    return convex_hull(sweep[0, :, 1:])
 
 
 def operator_range(
     spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int = 720
 ) -> RangeReport:
     """Convex hull of boundary points of the symbol ranges over a uniform
-    ``theta`` x ``phi`` grid, bundled with all support samples."""
+    ``theta`` x ``phi`` grid, bundled with the sweep's (support, x, y)
+    samples."""
     if theta_count < 1:
         raise ValueError("theta_count must be >= 1")
     if phi_count < 3:
@@ -352,20 +346,11 @@ def operator_range(
     _check_sweep_size(spec.period, theta_count, phi_count)
     thetas = TAU * np.arange(theta_count) / theta_count
     phis = TAU * np.arange(phi_count) / phi_count
-    symbols = symbol_batch(spec, thetas)
-    supports, points = _batched_support(symbols, phi_count, want_points=True)
+    sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=True)
+    supports, points = sweep[..., 0], sweep[..., 1:]
 
-    samples = np.zeros(theta_count * phi_count, dtype=SAMPLE_DTYPE)
-    samples["theta"] = np.repeat(thetas, phi_count)
-    samples["phi"] = np.tile(phis, theta_count)
-    samples["support_value"] = supports.ravel()
-    samples["x"] = points[..., 0].ravel()
-    samples["y"] = points[..., 1].ravel()
-
-    attained = samples["x"] * np.cos(samples["phi"]) + samples["y"] * np.sin(
-        samples["phi"]
-    )
-    attainment_gap = float(np.max(samples["support_value"] - attained))
+    attained = points[..., 0] * np.cos(phis) + points[..., 1] * np.sin(phis)
+    attainment_gap = float(np.max(supports - attained))
     # Each direction's maximizer over theta is a hull vertex candidate; the
     # polygon they span lies inside the hull and screens out interior points.
     flat = points.reshape(-1, 2)
@@ -375,7 +360,7 @@ def operator_range(
     polygon = convex_hull(flat)
     return RangeReport(
         polygon=polygon,
-        samples=samples,
+        samples=sweep.reshape(-1, 3),
         theta_count=theta_count,
         phi_count=phi_count,
         residual_summary={"support_attainment_gap": attainment_gap},
@@ -394,8 +379,8 @@ def selfadjoint_interval(
         raise SpecError("operator is not selfadjoint")
     _check_sweep_size(spec.period, theta_count, 0)
     thetas = TAU * np.arange(theta_count) / theta_count
-    supports, _ = _batched_support(symbol_batch(spec, thetas), 2, want_points=False)
-    return -float(np.max(supports[:, 1])), float(np.max(supports[:, 0]))
+    supports = _batched_support(symbol_batch(spec, thetas), 2, want_points=False)
+    return -float(np.max(supports[:, 1, 0])), float(np.max(supports[:, 0, 0]))
 
 
 def truncation_inclusion_check(
@@ -414,8 +399,8 @@ def truncation_inclusion_check(
     """
     t_n = truncation(spec, n_rows)
     phis = TAU * np.arange(report.phi_count) / report.phi_count
-    supports, _ = _batched_support(t_n[None, :, :], report.phi_count, want_points=False)
-    return float(np.max(supports[0] - report.polygon.support(phis)))
+    supports = _batched_support(t_n[None, :, :], report.phi_count, want_points=False)
+    return float(np.max(supports[0, :, 0] - report.polygon.support(phis)))
 
 
 def angular_resolution_gap(polygon: ConvexPolygon, phi_count: int) -> float:

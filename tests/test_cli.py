@@ -117,7 +117,7 @@ class TestRange:
         assert (report.theta_count, report.phi_count) == (24, 24)
         assert report.residual_summary == library.residual_summary
         assert np.array_equal(report.polygon.vertices, library.polygon.vertices)
-        assert report.samples.shape == (0,)
+        assert report.samples.shape == (0, 3)
 
     def test_report_doc_polygon_is_hull_of_flat_table(self, tmp_path):
         args = ["range", COUNTEREXAMPLE, "--theta-count", "30", "--phi-count", "36"]
@@ -273,6 +273,15 @@ class TestVerify:
                          "--phi-count", "8"])
         assert code == 3
         assert "precondition" in capsys.readouterr().err
+
+    def test_precondition_violation_is_not_a_spec_error(self, capsys):
+        # The spec file is valid; the --s value is what breaks the precondition.
+        code = cli.main(["verify", COUNTEREXAMPLE, "--s", "2", "--theta-count", "3",
+                         "--phi-count", "3"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: s=2 violates a precondition")
+        assert "invalid spec" not in err
 
     def test_oversized_s_refused_before_the_sweep(self, monkeypatch, capsys):
         def sweep(*args, **kwargs):

@@ -42,6 +42,28 @@ SELFADJOINT_PERIOD3 = os.path.join(
 )
 
 
+def reference_rows(report):
+    """Flat-table rows as a (k, 5) array built the way the structured sample
+    table was: the angle grids repeated and tiled, then the sample columns."""
+    thetas = TAU * np.arange(report.theta_count) / report.theta_count
+    phis = TAU * np.arange(report.phi_count) / report.phi_count
+    n = len(report.samples)
+    return np.column_stack(
+        [
+            np.repeat(thetas, report.phi_count)[:n],
+            np.tile(phis, report.theta_count)[:n],
+            report.samples,
+        ]
+    )
+
+
+def reference_table(report) -> str:
+    lines = ["theta phi support_value x y"] + [
+        " ".join(f"{float(v):.17g}" for v in row) for row in reference_rows(report)
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestSupportFunction:
     def test_nilpotent_disk(self):
         # W([[0, 2], [0, 0]]) is the closed disk of radius 1
@@ -94,10 +116,12 @@ class TestBatchedSupport:
         mats = np.concatenate([mats, np.diag([1.0, 1j, -1.0, 2.0])[None]])
         tol = 1e-12 * (1.0 + np.max(np.abs(mats)))
         phis = TAU * np.arange(phi_count) / phi_count
-        supports, points = _batched_support(mats, phi_count, want_points=True)
-        values_only, none = _batched_support(mats, phi_count, want_points=False)
-        assert none is None
-        assert np.max(np.abs(values_only - supports)) <= tol
+        sweep = _batched_support(mats, phi_count, want_points=True)
+        values_only = _batched_support(mats, phi_count, want_points=False)
+        assert sweep.shape == (len(mats), phi_count, 3)
+        assert values_only.shape == (len(mats), phi_count, 1)
+        supports, points = sweep[..., 0], sweep[..., 1:]
+        assert np.max(np.abs(values_only[..., 0] - supports)) <= tol
         for b, mat in enumerate(mats):
             reference = [support_function(mat, phi).support_value for phi in phis]
             assert np.max(np.abs(supports[b] - reference)) <= tol
@@ -257,6 +281,7 @@ class TestOperatorRange:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="convex_hull's collinearity threshold is an area, 1e-12 * max(1, |coord|)^2, "
         "so it drops vertices of tiny polygons and of dense clusters of samples",
     )
@@ -271,15 +296,13 @@ class TestOperatorRange:
         spec = PeriodicBandedSpec(2, 1, diagonals)
         report = operator_range(spec, 24, 24)
         phis = TAU * np.arange(24) / 24
-        sampled = report.samples["support_value"].reshape(24, 24).max(axis=0)
+        sampled = report.samples[:, 0].reshape(24, 24).max(axis=0)
         gap = np.max(np.abs(report.polygon.support(phis) - sampled))
         assert gap <= 1e-9 * (1.0 + spec.max_entry())
 
     def test_polygon_is_hull_of_samples(self):
         report = operator_range(counterexample_spec(), 40, 40)
-        again = convex_hull(
-            np.stack([report.samples["x"], report.samples["y"]], axis=1)
-        )
+        again = convex_hull(report.samples[:, 1:])
         assert hausdorff_distance(report.polygon, again) <= 1e-12
 
     def test_polygon_is_exact_hull_of_samples(self):
@@ -299,7 +322,7 @@ class TestOperatorRange:
         ]
         for spec, theta_count, phi_count in cases:
             report = operator_range(spec, theta_count, phi_count)
-            full = convex_hull(np.stack([report.samples["x"], report.samples["y"]], axis=1))
+            full = convex_hull(report.samples[:, 1:])
             assert np.array_equal(report.polygon.vertices, full.vertices)
 
     def test_rayleigh_containment(self):
@@ -360,7 +383,7 @@ class TestOperatorRange:
 
     def test_sweep_working_set(self):
         # Eigensolve stacks of 2^18 entries take 4 MiB each and the 64,800
-        # samples 2.6 MB; stacks of 2,000,000 entries would exceed the bound.
+        # samples 1.6 MB; stacks of 2,000,000 entries would exceed the bound.
         spec = random_spec(np.random.default_rng(0), 8, 4)
         tracemalloc.start()
         try:
@@ -369,6 +392,18 @@ class TestOperatorRange:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_counterexample_sweep_working_set(self):
+        # The 518,400 (support, x, y) rows take 12.4 MB and the hull's
+        # working copies about as much again; a second, 40-byte-per-row
+        # sample table would push the peak past the bound.
+        tracemalloc.start()
+        try:
+            operator_range(counterexample_spec(), 720, 720)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_oversized_sweep_refused_before_allocating(self):
         # Raised from the estimate: a 2 x 10^13 sweep would need ~1.3 PB.
@@ -451,7 +486,7 @@ class TestRangeReport:
         assert again.phi_count == report.phi_count
         assert again.residual_summary == report.residual_summary
         assert np.array_equal(again.polygon.vertices, report.polygon.vertices)
-        assert again.samples.shape == (0,) and again.samples.dtype == report.samples.dtype
+        assert again.samples.shape == (0, 3) and again.samples.dtype == report.samples.dtype
 
     def test_empty_samples_roundtrip(self):
         report = operator_range(counterexample_spec(), 4, 4)
@@ -459,7 +494,7 @@ class TestRangeReport:
         report.samples = report.samples[:0]
         assert report.to_dict() == doc
         again = RangeReport.from_dict(doc)
-        assert again.samples.shape == (0,) and again.samples.dtype == report.samples.dtype
+        assert again.samples.shape == (0, 3) and again.samples.dtype == report.samples.dtype
         assert again.to_dict() == doc
         assert report.flat_table() == "theta phi support_value x y\n"
 
@@ -478,28 +513,32 @@ class TestRangeReport:
 
     def test_flat_table_matches_row_formatting(self):
         report = operator_range(counterexample_spec(), 9, 11)
-        names = ("theta", "phi", "support_value", "x", "y")
-        reference = ["theta phi support_value x y"] + [
-            " ".join(f"{float(row[name]):.17g}" for name in names) for row in report.samples
-        ]
-        assert report.flat_table() == "\n".join(reference) + "\n"
+        assert report.samples.shape == (9 * 11, 3)
+        assert report.flat_table() == reference_table(report)
 
     @pytest.mark.parametrize("n_samples", [0, 1, 3, 4, 5, 9])
     def test_chunked_writers_match_references(self, monkeypatch, n_samples):
         monkeypatch.setattr(ranges, "_ROW_CHUNK", 4)
         report = operator_range(counterexample_spec(), 3, 4)
         report.samples = report.samples[:n_samples]
-        names = ("theta", "phi", "support_value", "x", "y")
-        reference = ["theta phi support_value x y"] + [
-            " ".join(f"{float(row[name]):.17g}" for name in names) for row in report.samples
-        ]
-        assert report.flat_table() == "\n".join(reference) + "\n"
+        assert report.flat_table() == reference_table(report)
+
+    def test_flat_table_angles_are_the_repeated_grids(self, monkeypatch):
+        # Chunks of 4 rows cut the theta rows of P = 7 directions mid-row.
+        monkeypatch.setattr(ranges, "_ROW_CHUNK", 4)
+        report = operator_range(counterexample_spec(), 5, 7)
+        table = np.array(
+            [[float(v) for v in line.split()] for line in report.flat_table().splitlines()[1:]]
+        )
+        reference = reference_rows(report)
+        assert table.shape == reference.shape == (5 * 7, 5)
+        assert table.tobytes() == reference.tobytes()
 
     def test_flat_table_shape(self):
         report = operator_range(counterexample_spec(), 5, 7)
         lines = report.flat_table().strip().split("\n")
         assert lines[0] == "theta phi support_value x y"
-        assert len(lines) == 1 + 5 * 7
+        assert len(lines) == 1 + 5 * 7 == 1 + len(report.samples)
         assert all(len(line.split()) == 5 for line in lines[1:])
 
     def test_support_attainment_residual(self):
