@@ -18,7 +18,7 @@ from toeprange import (
     kippenhahn_form,
     matrix_numerical_range,
     restrict_to_direction,
-    support_function,
+    rotated_hermitian_parts,
     univariate_real_root_count,
 )
 
@@ -27,13 +27,15 @@ b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
 form = kippenhahn_form(b)
 print("degree:", form.degree, " monomials:", len(form.coefficients))
 
-# Largest pencil root vs direct support sweep, a few directions.
-for phi in np.linspace(0.0, np.pi, 5):
+# Largest pencil root vs the top eigenvalue of the rotated Hermitian part,
+# a few directions.
+phis = np.linspace(0.0, np.pi, 5)
+tops = np.linalg.eigvalsh(rotated_hermitian_parts(b, phis))[:, -1]
+for phi, direct in zip(phis, tops):
     coeffs = restrict_to_direction(form, -np.cos(phi), -np.sin(phi))
     _, roots = univariate_real_root_count(coeffs)
     pencil_top = roots.real.max()
-    direct = support_function(b, phi).support_value
-    print(f"phi={phi:.3f}  pencil {pencil_top:+.10f}  sweep {direct:+.10f}")
+    print(f"phi={phi:.3f}  pencil {pencil_top:+.10f}  eigvalsh {direct:+.10f}")
 
 # Kippenhahn forms are always hyperbolic (the restrictions are Hermitian
 # characteristic polynomials).

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, lapack, rotated_hermitian_part
+from .linalg import as_matrix, lapack, rotated_hermitian_parts
+from .operators import TAU
 from .ranges import SWEEP_BYTE_CAP
 
-TAU = 2.0 * math.pi
 KIPPENHAHN_SIZE_CAP = 12
 REAL_ROOT_RTOL = 1e-7
 
@@ -261,9 +261,7 @@ def kippenhahn_form(b) -> TernaryForm:
     if size > KIPPENHAHN_SIZE_CAP:
         raise ValueError(f"matrix size {size} exceeds the cap {KIPPENHAHN_SIZE_CAP}")
     angles = math.pi * np.arange(size + 1) / (size + 1)
-    values = lapack(
-        np.linalg.eigvalsh, np.stack([rotated_hermitian_part(m, a) for a in angles])
-    )
+    values = lapack(np.linalg.eigvalsh, rotated_hermitian_parts(m, angles))
     radius = float(np.max(np.abs(values))) or 1.0
     elementary = np.array([np.poly(-row) for row in values / radius])
     cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, rotated_hermitian_part
+from .linalg import as_matrix, rotated_hermitian_parts
 from .operators import (
     TAU,
     PeriodicBandedSpec,
@@ -47,16 +47,6 @@ SWEEP_BYTE_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
-class SupportSample:
-    """One direction of a support sweep: the support value and a boundary
-    point attaining it."""
-
-    phi: float
-    support_value: float
-    boundary_point: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ConvexPolygon:
     """Convex region given by counterclockwise vertices.
 
@@ -73,11 +63,13 @@ class ConvexPolygon:
         if not np.all(np.isfinite(v)):
             raise ValueError("polygon vertices must be finite")
         if v.shape[0] >= 3:
-            scale = max(1.0, float(np.max(np.abs(v))))
+            # Vertex k + 1 may sit at most the hull's collinearity distance
+            # on the wrong side of the chord from vertex k to vertex k + 2.
             edges = np.roll(v, -1, axis=0) - v
             nxt = np.roll(edges, -1, axis=0)
             cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-            if np.min(cross) < -HULL_COLLINEARITY_RTOL * scale * scale:
+            chord = np.hypot(*(edges + nxt).T)
+            if np.any(cross < -_hull_tolerance(v) * chord):
                 raise ValueError("vertices are not in convex counterclockwise order")
         v = v.copy()
         v.flags.writeable = False
@@ -174,11 +166,10 @@ class RangeReport:
 
 
 def _hull_tolerance(pts: np.ndarray) -> float:
-    """Cross-product threshold below which ``convex_hull`` treats a turn as
+    """Distance from a chord below which ``convex_hull`` treats a turn as
     collinear.  The largest coordinate magnitude is attained at a hull
     vertex, so the value is the same for any subset keeping the vertices."""
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    return HULL_COLLINEARITY_RTOL * scale * scale
+    return HULL_COLLINEARITY_RTOL * max(1.0, float(np.max(np.abs(pts))))
 
 
 def _hull_candidates(inner: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
@@ -186,8 +177,8 @@ def _hull_candidates(inner: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
 
     ``inner`` must be a polygon spanned by some of the points.  Each point
     is bucketed by its angle around the vertex centroid of ``inner`` and
-    dropped only when it lies inside its wedge's edge by more than
-    ``convex_hull``'s collinearity threshold (Akl & Toussaint, "A fast
+    dropped only when it lies farther inside its wedge's edge than
+    ``convex_hull``'s collinearity distance (Akl & Toussaint, "A fast
     convex hull algorithm", IPL 1978).
     """
     center = inner.vertices.mean(axis=0)
@@ -202,12 +193,13 @@ def _hull_candidates(inner: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
     # Wedge k lies between vertices k and k + 1; index -1 is the one that wraps.
     wedge = np.searchsorted(angles, np.arctan2(y - center[1], x - center[0]), side="right") - 1
     cross = ex[wedge] * y - ey[wedge] * x - offset[wedge]
-    return ~(cross > _hull_tolerance(pts))
+    return ~(cross > _hull_tolerance(pts) * np.hypot(ex, ey)[wedge])
 
 
 def convex_hull(points) -> ConvexPolygon:
-    """Counterclockwise convex hull (monotone chain); collinear points are
-    dropped at relative tolerance ``1e-12``."""
+    """Counterclockwise convex hull (monotone chain).  A point within
+    ``1e-12 * max(1, max|coordinate|)`` of the chord between its neighbours
+    counts as collinear and is dropped."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
         raise ValueError("expected a nonempty array of planar points")
@@ -223,7 +215,8 @@ def convex_hull(points) -> ConvexPolygon:
         for p in ordered:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= tol:
+                cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+                if cross <= tol * math.hypot(p[0] - o[0], p[1] - o[1]):
                     out.pop()
                 else:
                     break
@@ -271,9 +264,7 @@ def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
         part = mats[rows]
         for j0 in range(0, half, phi_chunk):
             cols = slice(j0, min(j0 + phi_chunk, half))
-            phases = np.exp(-1j * phis[cols])
-            rotated = phases[None, :, None, None] * part[:, None, :, :]
-            herm = 0.5 * (rotated + np.conj(np.swapaxes(rotated, -1, -2)))
+            herm = rotated_hermitian_parts(part, phis[cols])
             if want_points:
                 values, vectors = linalg.lapack(np.linalg.eigh, herm)
             else:
@@ -306,20 +297,6 @@ def _check_sweep_size(period: int, theta_count: int, phi_count: int) -> None:
             f"at period {period} needs about {estimate:.3g} bytes, over the cap "
             f"of {SWEEP_BYTE_CAP} bytes"
         )
-
-
-def support_function(a, phi: float) -> SupportSample:
-    """Support value of W(A) in direction ``phi`` plus an attaining
-    boundary point (the Rayleigh value of a top eigenvector)."""
-    m = as_matrix(a)
-    decomp = linalg.eigh(rotated_hermitian_part(m, phi))
-    top = decomp.eigenvectors[:, -1]
-    z = complex(np.vdot(top, m @ top))
-    return SupportSample(
-        phi=float(phi),
-        support_value=float(decomp.eigenvalues[-1]),
-        boundary_point=(z.real, z.imag),
-    )
 
 
 def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
@@ -395,7 +372,7 @@ def truncation_inclusion_check(
     the symbols missed between grid angles; ``angular_resolution_gap`` covers
     only the first.  On coarse ``theta`` grids the excess can exceed it
     (``verify specs/counterexample.json --theta-count 3`` fails); a bound
-    with both terms is item 1 of ROADMAP.md.
+    with both terms is item 2 of ROADMAP.md.
     """
     t_n = truncation(spec, n_rows)
     phis = TAU * np.arange(report.phi_count) / report.phi_count

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spec_with_s
-from toeprange.linalg import EigenSolverError, eigh, max_norm
+from toeprange.linalg import EigenSolverError, max_norm
 from toeprange.operators import (
     SPEC_ENTRY_CAP,
     TAU,
@@ -461,12 +461,13 @@ class TestLifting:
             band = int(rng.integers(0, 3))
             spec = random_spec(rng, period, band, selfadjoint=True)
             s = next(t for t in range(2, 9) if t * period >= 2 * band + 1 and t >= 2)
-            from_c = eigh(c_mu(spec, s)).eigenvalues
-            from_blocks = np.sort(
-                np.concatenate(
-                    [eigh(symbol(spec, TAU * r / s)).eigenvalues for r in range(s)]
-                )
-            )
+            c = c_mu(spec, s)
+            blocks = [symbol(spec, TAU * r / s) for r in range(s)]
+            # eigvalsh reads one triangle only, so check Hermiticity first.
+            for m in [c, *blocks]:
+                assert max_norm(m - m.conj().T) <= 1e-12 * (1.0 + max_norm(m))
+            from_c = np.linalg.eigvalsh(c)
+            from_blocks = np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in blocks]))
             assert np.max(np.abs(from_c - from_blocks)) <= 1e-8
 
 

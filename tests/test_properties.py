@@ -81,3 +81,15 @@ def test_periodic_diagonal_unitary_similarity(spec, psi):
     d = spec.period
     image = transformed(spec, lambda r, j, z: z * cmath.exp(1j * (psi[(j + r) % d] - psi[j])))
     assert grid_gap(polygon(image), polygon(spec)) <= tolerance(spec)
+
+
+@PROPERTY
+@given(specs(), st.sampled_from([1.0, 1e-3, 1e-5]))
+def test_polygon_support_is_the_largest_sampled_support(spec, scale):
+    # On the sweep's own direction grid the hull loses no sample, at any
+    # scale: its support there is the largest support value over theta.
+    spec = transformed(spec, lambda r, j, z: scale * z)
+    report = operator_range(spec, GRID, GRID)
+    sampled = report.samples[:, 0].reshape(GRID, GRID).max(axis=0)
+    phis = TAU * np.arange(GRID) / GRID
+    assert np.max(np.abs(report.polygon.support(phis) - sampled)) <= tolerance(spec)
