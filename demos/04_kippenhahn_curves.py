@@ -45,6 +45,6 @@ print("hyperbolic:", verdict.hyperbolic, " max |Im| seen:", verdict.max_imag)
 # For a normal matrix the form splits into linear factors and the range is
 # the convex hull of the spectrum.
 normal = np.diag([1.0 + 0j, 1j, -1.0 + 0j])
-print("normal matrix form:", kippenhahn_form(normal).to_records())
+print("normal matrix form:", kippenhahn_form(normal).to_dict())
 print("normal matrix range vertices:")
 print(matrix_numerical_range(normal, 360).vertices)

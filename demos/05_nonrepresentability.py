@@ -15,6 +15,7 @@ restriction 16 t^4 - 72 t^2 - 27 keeps two roots off the real axis.
 import numpy as np
 
 from toeprange import (
+    boundary_quartic,
     dual_quartic,
     ellipse_family,
     ellipse_family_residual,
@@ -36,8 +37,11 @@ worst = max(
 print("family membership residual:", worst)
 
 # alpha^2 + beta^2 - gamma^2 expands to exactly -9 times the boundary
-# quartic at U = 1; its zeros are the envelope.
-print("discriminant coefficients:", sorted(family_discriminant(family).items()))
+# quartic; at t = 1 its zeros are the envelope.
+discriminant = family_discriminant(family)
+print("discriminant records:", discriminant.to_dict()["records"])
+print("equals -9 x boundary quartic:", discriminant.coefficients
+      == {e: -9 * c for e, c in boundary_quartic().coefficients.items()})
 print("residual at the boundary points (1.5, 0) and (-2.5, 0):",
       envelope_residual(family, 1.5, 0.0), envelope_residual(family, -2.5, 0.0))
 print("residual at the isolated interior point (0.5, 0):",

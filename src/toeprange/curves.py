@@ -7,6 +7,10 @@ sampled hyperbolicity test: a form that divides some Kippenhahn polynomial
 ``det(t I + x Re(B) + y Im(B))`` must have all-real roots along every
 direction, and the dual quartic fails this, so no finite matrix has the
 operator's numerical range.
+
+``TernaryForm`` is the one polynomial type here: the quartics, Kippenhahn
+forms and the ellipse family's quadratic coefficients (read at t = 1) are
+all forms, and ``family_discriminant`` returns a form.
 """
 
 from __future__ import annotations
@@ -63,18 +67,14 @@ class TernaryForm:
             raise ValueError("form must have at least one nonzero coefficient")
         object.__setattr__(self, "coefficients", cleaned)
 
-    def to_records(self) -> list[list[float]]:
-        return [
-            [i, j, k, self.coefficients[(i, j, k)]]
-            for (i, j, k) in sorted(self.coefficients)
-        ]
+    def to_dict(self) -> dict:
+        records = [[*e, self.coefficients[e]] for e in sorted(self.coefficients)]
+        return {"degree": self.degree, "records": records}
 
     @classmethod
-    def from_records(cls, degree: int, records) -> "TernaryForm":
-        return cls(
-            degree=degree,
-            coefficients={(int(i), int(j), int(k)): float(c) for i, j, k, c in records},
-        )
+    def from_dict(cls, doc: dict) -> "TernaryForm":
+        coefficients = {(i, j, k): c for i, j, k, c in doc["records"]}
+        return cls(degree=int(doc["degree"]), coefficients=coefficients)
 
 
 def evaluate_form(form: TernaryForm, t, x, y):
@@ -152,76 +152,57 @@ def dual_quartic() -> TernaryForm:
 
 @dataclass(frozen=True)
 class ConicFamilyCoefficients:
-    """Quadratic coefficient polynomials of an ellipse family written as
-    ``H(X, Y; theta) = alpha cos(theta) + beta sin(theta) + gamma``.
+    """Quadratic forms of an ellipse family written, at t = 1, as
+    ``H(X, Y; theta) = alpha cos(theta) + beta sin(theta) + gamma``."""
 
-    Each of alpha/beta/gamma maps ``(i, j)`` to the coefficient of
-    ``X^i Y^j`` and has total degree at most two.
-    """
-
-    alpha: dict[tuple[int, int], float]
-    beta: dict[tuple[int, int], float]
-    gamma: dict[tuple[int, int], float]
+    alpha: TernaryForm
+    beta: TernaryForm
+    gamma: TernaryForm
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            poly = getattr(self, name)
-            for (i, j) in poly:
-                if i < 0 or j < 0 or i + j > 2:
-                    raise ValueError(f"{name} must be a bivariate quadratic")
-
-
-def evaluate_bivariate(poly: dict[tuple[int, int], float], x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = np.zeros(np.broadcast(x, y).shape)
-    for (i, j), c in poly.items():
-        total = total + c * x**i * y**j
-    if total.ndim == 0:
-        return float(total)
-    return total
+            if getattr(self, name).degree != 2:
+                raise ValueError(f"{name} must be a quadratic form")
 
 
 def ellipse_family() -> ConicFamilyCoefficients:
-    """Coefficient polynomials of the counterexample's family of symbol
-    range boundary ellipses."""
+    """Coefficient forms of the counterexample's family of symbol range
+    boundary ellipses."""
     return ConicFamilyCoefficients(
-        alpha={(2, 0): 16.0, (0, 2): -16.0, (1, 0): -40.0, (0, 0): 16.0},
-        beta={(1, 1): 32.0, (0, 1): -40.0},
-        gamma={(2, 0): 20.0, (0, 2): 20.0, (1, 0): -32.0, (0, 0): 11.0},
+        alpha=TernaryForm(
+            degree=2,
+            coefficients={(0, 2, 0): 16.0, (0, 0, 2): -16.0, (1, 1, 0): -40.0, (2, 0, 0): 16.0},
+        ),
+        beta=TernaryForm(degree=2, coefficients={(0, 1, 1): 32.0, (1, 0, 1): -40.0}),
+        gamma=TernaryForm(
+            degree=2,
+            coefficients={(0, 2, 0): 20.0, (0, 0, 2): 20.0, (1, 1, 0): -32.0, (2, 0, 0): 11.0},
+        ),
     )
 
 
 def envelope_residual(family: ConicFamilyCoefficients, x, y):
-    """``alpha^2 + beta^2 - gamma^2``; zero exactly on the envelope of the
-    family (and proportional to the boundary quartic at t = 1)."""
-    a = evaluate_bivariate(family.alpha, x, y)
-    b = evaluate_bivariate(family.beta, x, y)
-    g = evaluate_bivariate(family.gamma, x, y)
+    """``alpha^2 + beta^2 - gamma^2`` at t = 1; zero exactly on the envelope
+    of the family (and -9 times the boundary quartic)."""
+    a = evaluate_form(family.alpha, 1.0, x, y)
+    b = evaluate_form(family.beta, 1.0, x, y)
+    g = evaluate_form(family.gamma, 1.0, x, y)
     return a * a + b * b - g * g
 
 
-def _poly2_mul(p: dict, q: dict) -> dict:
-    out: dict[tuple[int, int], float] = {}
-    for (i1, j1), c1 in p.items():
-        for (i2, j2), c2 in q.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def family_discriminant(family: ConicFamilyCoefficients) -> dict[tuple[int, int], float]:
-    """Expanded coefficients of ``alpha^2 + beta^2 - gamma^2``.
+def family_discriminant(family: ConicFamilyCoefficients) -> TernaryForm:
+    """The quartic form ``alpha^2 + beta^2 - gamma^2``.
 
     Exact when the family coefficients are small integers: their float
     products and sums are integers well below 2^53, so nothing rounds.
     """
-    a, b, g = family.alpha, family.beta, family.gamma
-    out: dict[tuple[int, int], float] = {}
-    for term, sign in ((_poly2_mul(a, a), 1), (_poly2_mul(b, b), 1), (_poly2_mul(g, g), -1)):
-        for key, value in term.items():
-            out[key] = out.get(key, 0) + sign * value
-    return {k: v for k, v in out.items() if v != 0}
+    out: dict[tuple[int, int, int], float] = {}
+    for form, sign in ((family.alpha, 1.0), (family.beta, 1.0), (family.gamma, -1.0)):
+        for (i1, j1, k1), c1 in form.coefficients.items():
+            for (i2, j2, k2), c2 in form.coefficients.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0.0) + sign * c1 * c2
+    return TernaryForm(degree=4, coefficients=out)
 
 
 def ellipse_point(theta, t):
@@ -240,9 +221,9 @@ def ellipse_family_residual(theta, t):
     Broadcasts over array arguments; scalars give a float."""
     family = ellipse_family()
     x, y = ellipse_point(theta, t)
-    a = evaluate_bivariate(family.alpha, x, y)
-    b = evaluate_bivariate(family.beta, x, y)
-    g = evaluate_bivariate(family.gamma, x, y)
+    a = evaluate_form(family.alpha, 1.0, x, y)
+    b = evaluate_form(family.beta, 1.0, x, y)
+    g = evaluate_form(family.gamma, 1.0, x, y)
     return a * np.cos(theta) + b * np.sin(theta) + g
 
 
@@ -456,8 +437,8 @@ class NonrepresentabilityReport:
     def to_dict(self) -> dict:
         return {
             "kind": "nonrepresentability-report",
-            "quartic": {"degree": self.quartic.degree, "records": self.quartic.to_records()},
-            "dual": {"degree": self.dual.degree, "records": self.dual.to_records()},
+            "quartic": self.quartic.to_dict(),
+            "dual": self.dual.to_dict(),
             "duality_samples": self.duality_samples,
             "duality_max_residual": self.duality_max_residual,
             "verdict": self.verdict.to_dict(),
@@ -471,10 +452,8 @@ class NonrepresentabilityReport:
         if doc.get("kind") != "nonrepresentability-report":
             raise ValueError("not a nonrepresentability-report document")
         return cls(
-            quartic=TernaryForm.from_records(
-                doc["quartic"]["degree"], doc["quartic"]["records"]
-            ),
-            dual=TernaryForm.from_records(doc["dual"]["degree"], doc["dual"]["records"]),
+            quartic=TernaryForm.from_dict(doc["quartic"]),
+            dual=TernaryForm.from_dict(doc["dual"]),
             duality_samples=int(doc["duality_samples"]),
             duality_max_residual=float(doc["duality_max_residual"]),
             verdict=HyperbolicityVerdict.from_dict(doc["verdict"]),

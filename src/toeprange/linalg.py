@@ -15,9 +15,6 @@ import numpy as np
 # Dense representation only; anything larger than this is a usage error.
 MATRIX_SIZE_CAP = 4096
 
-# Relative tolerance for accepting a matrix as Hermitian on input.
-HERMITICITY_RTOL = 1e-12
-
 
 class EigenSolverError(RuntimeError):
     """Eigensolver failed to converge or violated its own contract."""

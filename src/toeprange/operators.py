@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import HERMITICITY_RTOL, MATRIX_SIZE_CAP, lapack, max_norm
+from .linalg import MATRIX_SIZE_CAP, lapack, max_norm
 
 TAU = 2.0 * math.pi
 # Specs storing more than this many entries, (2*band + 1) * period, are
@@ -195,6 +195,11 @@ def counterexample_spec() -> PeriodicBandedSpec:
 def free_jacobi_spec() -> PeriodicBandedSpec:
     """Free Jacobi operator: ones on both first off-diagonals."""
     return PeriodicBandedSpec(period=1, band=1, diagonals={-1: [1.0], 1: [1.0]})
+
+
+# Relative tolerance within which a spec's paired diagonals must be
+# conjugate for ``is_selfadjoint`` to call the operator selfadjoint.
+HERMITICITY_RTOL = 1e-12
 
 
 def is_selfadjoint(spec: PeriodicBandedSpec) -> bool:

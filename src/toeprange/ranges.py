@@ -6,7 +6,9 @@ Hermitian part, and the Rayleigh value of a top eigenvector is a boundary
 point attaining it.  The closure of the operator range is approximated by
 the convex hull of boundary points collected over a ``theta`` grid of
 symbols and a ``phi`` grid of directions; the hull is an inner
-approximation whose support gap is controlled by the angular resolution.
+approximation.  ``angular_resolution_gap`` estimates its support gap for
+smooth boundaries only; it is not a bound, since a corner between two grid
+directions is missed to first order.
 Samples inside the polygon spanned by each direction's maximizer are
 screened out before the hull is taken, which leaves the hull unchanged.
 
@@ -326,8 +328,10 @@ def operator_range(
     sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=True)
     supports, points = sweep[..., 0], sweep[..., 1:]
 
-    attained = points[..., 0] * np.cos(phis) + points[..., 1] * np.sin(phis)
-    attainment_gap = float(np.max(supports - attained))
+    # One expression, so no full-length array outlives it into the screening.
+    attainment_gap = float(
+        np.max(supports - (points[..., 0] * np.cos(phis) + points[..., 1] * np.sin(phis)))
+    )
     # Each direction's maximizer over theta is a hull vertex candidate; the
     # polygon they span lies inside the hull and screens out interior points.
     flat = points.reshape(-1, 2)
@@ -381,7 +385,13 @@ def truncation_inclusion_check(
 
 
 def angular_resolution_gap(polygon: ConvexPolygon, phi_count: int) -> float:
-    """Support-sweep inner-approximation bound: diameter * (1 - cos(pi/P))."""
+    """Estimate of the support sweep's inner-approximation gap,
+    diameter * (1 - cos(pi/P)), valid for smooth boundaries.
+
+    It is not a bound: a corner whose normal cone falls between two grid
+    directions is missed by a first-order amount, far above this estimate.
+    A certified term is item 2 of ROADMAP.md.
+    """
     return polygon.diameter() * (1.0 - math.cos(math.pi / phi_count))
 
 

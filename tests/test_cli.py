@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from toeprange import cli
+from toeprange.curves import boundary_quartic, dual_quartic
 from toeprange.operators import counterexample_spec, spec_to_doc, symbol, validate_spec
 from toeprange.ranges import RangeReport, convex_hull, operator_range
 
@@ -315,6 +316,28 @@ class TestCounterexample:
         range_report, pipeline = cli.parse_counterexample_doc(doc)
         assert range_report.theta_count == 90
         assert not pipeline.verdict.hyperbolic
+
+    def test_certificate_forms_json_contract(self, tmp_path):
+        out = tmp_path / "report.json"
+        args = ["--theta-count", "24", "--phi-count", "24", "--direction-count", "8"]
+        assert cli.main(["counterexample", *args, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        quartic = {"degree": 4, "records": [
+            [0, 0, 4, 16.0], [0, 2, 2, 32.0], [0, 4, 0, 16.0], [2, 0, 2, -72.0],
+            [2, 2, 0, -72.0], [3, 1, 0, 64.0], [4, 0, 0, -15.0],
+        ]}
+        dual = {"degree": 4, "records": [
+            [0, 0, 4, -27.0], [0, 2, 2, -162.0], [0, 4, 0, -135.0], [1, 1, 2, -216.0],
+            [1, 3, 0, -216.0], [2, 0, 2, -72.0], [2, 2, 0, -72.0], [3, 1, 0, 32.0],
+            [4, 0, 0, 16.0],
+        ]}
+        # Compared as JSON text, so integer exponents and float coefficients
+        # are pinned too.
+        assert json.dumps(doc["nonrepresentability"]["quartic"]) == json.dumps(quartic)
+        assert json.dumps(doc["nonrepresentability"]["dual"]) == json.dumps(dual)
+        _, pipeline = cli.parse_counterexample_doc(doc)
+        assert pipeline.quartic == boundary_quartic()
+        assert pipeline.dual == dual_quartic()
 
     def test_report_file_is_the_dict_encoding(self, tmp_path):
         out = tmp_path / "report.json"

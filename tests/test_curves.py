@@ -10,7 +10,7 @@ from conftest import random_complex_matrix
 from toeprange.curves import (
     _witness_index,
     NonrepresentabilityReport,
-    evaluate_bivariate,
+    ConicFamilyCoefficients,
     HyperbolicityVerdict,
     KIPPENHAHN_SIZE_CAP,
     PipelineStageError,
@@ -95,7 +95,8 @@ class TestTernaryForm:
 
     def test_records_roundtrip(self):
         form = dual_quartic()
-        again = TernaryForm.from_records(form.degree, form.to_records())
+        again = TernaryForm.from_dict(json.loads(json.dumps(form.to_dict())))
+        assert again.degree == form.degree
         assert again.coefficients == form.coefficients
 
     def test_homogeneity(self):
@@ -166,19 +167,58 @@ class TestDualQuartic:
         assert np.array_equal(got, np.array([16.0, 0.0, -72.0, 0.0, -27.0]))
 
 
+# The ellipse family as bivariate dicts keyed by the (X, Y) exponents, and a
+# plain bivariate evaluator: a reference that evaluating the forms at t = 1
+# must reproduce bit for bit.
+REFERENCE_FAMILY = (
+    {(2, 0): 16.0, (0, 2): -16.0, (1, 0): -40.0, (0, 0): 16.0},
+    {(1, 1): 32.0, (0, 1): -40.0},
+    {(2, 0): 20.0, (0, 2): 20.0, (1, 0): -32.0, (0, 0): 11.0},
+)
+
+
+def reference_bivariate(poly, x, y):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    total = np.zeros(np.broadcast(x, y).shape)
+    for (i, j), c in poly.items():
+        total = total + c * x**i * y**j
+    return total
+
+
 class TestEllipseFamily:
     def test_alpha_at_one_zero(self):
         fam = ellipse_family()
-        assert evaluate_bivariate(fam.alpha, 1.0, 0.0) == -8.0
+        assert evaluate_form(fam.alpha, 1.0, 1.0, 0.0) == -8.0
 
     def test_beta_vanishes_on_real_axis(self):
         fam = ellipse_family()
         for x in (-2.0, -0.3, 0.0, 1.2, 4.0):
-            assert evaluate_bivariate(fam.beta, x, 0.0) == 0.0
+            assert evaluate_form(fam.beta, 1.0, x, 0.0) == 0.0
 
     def test_gamma_at_isolated_point(self):
         fam = ellipse_family()
-        assert evaluate_bivariate(fam.gamma, 0.5, 0.0) == 0.0
+        assert evaluate_form(fam.gamma, 1.0, 0.5, 0.0) == 0.0
+
+    def test_family_refuses_non_quadratic_forms(self):
+        fam = ellipse_family()
+        linear = TernaryForm(degree=1, coefficients={(1, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="beta must be a quadratic form"):
+            ConicFamilyCoefficients(alpha=fam.alpha, beta=linear, gamma=fam.gamma)
+        with pytest.raises(ValueError, match="gamma must be a quadratic form"):
+            ConicFamilyCoefficients(alpha=fam.alpha, beta=fam.beta, gamma=boundary_quartic())
+
+    def test_residuals_match_bivariate_reference_bitwise(self):
+        grid = np.linspace(-3.0, 3.0, 41)
+        x, y = grid[:, None], grid[None, :]
+        a, b, g = (reference_bivariate(p, x, y) for p in REFERENCE_FAMILY)
+        assert np.array_equal(envelope_residual(ellipse_family(), x, y), a * a + b * b - g * g)
+        theta = np.linspace(0.0, TAU, 60, endpoint=False)[:, None]
+        t = np.linspace(0.0, TAU, 50, endpoint=False)[None, :]
+        px, py = ellipse_point(theta, t)
+        a, b, g = (reference_bivariate(p, px, py) for p in REFERENCE_FAMILY)
+        expected = a * np.cos(theta) + b * np.sin(theta) + g
+        assert np.array_equal(ellipse_family_residual(theta, t), expected)
 
     def test_envelope_residual_at_boundary_points(self):
         fam = ellipse_family()
@@ -187,12 +227,12 @@ class TestEllipseFamily:
         assert abs(envelope_residual(fam, 0.5, 0.0)) <= 1e-9
 
     def test_envelope_proportional_to_quartic_exactly(self):
-        # alpha^2 + beta^2 - gamma^2 == -9 * L(1, X, Y), integer arithmetic
+        # alpha^2 + beta^2 - gamma^2 == -9 * L(t, X, Y), integer arithmetic
         disc = family_discriminant(ellipse_family())
-        dehom = {}
-        for (i, j, k), c in boundary_quartic().coefficients.items():
-            dehom[(j, k)] = dehom.get((j, k), 0) - 9 * int(c)
-        assert disc == dehom
+        assert disc.degree == 4
+        assert disc.coefficients == {
+            e: -9 * c for e, c in boundary_quartic().coefficients.items()
+        }
 
     def test_envelope_residual_at_origin(self):
         # matches -9 * L(1, 0, 0) = -9 * (-15) = 135 = 16^2 - 11^2
