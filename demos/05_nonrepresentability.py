@@ -19,7 +19,7 @@ from toeprange import (
     dual_quartic,
     ellipse_family,
     ellipse_family_residual,
-    envelope_residual,
+    evaluate_form,
     family_discriminant,
     nonrepresentability_report,
     restrict_to_direction,
@@ -43,9 +43,10 @@ print("discriminant records:", discriminant.to_dict()["records"])
 print("equals -9 x boundary quartic:", discriminant.coefficients
       == {e: -9 * c for e, c in boundary_quartic().coefficients.items()})
 print("residual at the boundary points (1.5, 0) and (-2.5, 0):",
-      envelope_residual(family, 1.5, 0.0), envelope_residual(family, -2.5, 0.0))
+      evaluate_form(discriminant, 1.0, 1.5, 0.0),
+      evaluate_form(discriminant, 1.0, -2.5, 0.0))
 print("residual at the isolated interior point (0.5, 0):",
-      envelope_residual(family, 0.5, 0.0))
+      evaluate_form(discriminant, 1.0, 0.5, 0.0))
 
 # The dual quartic restricted to the vertical direction.
 coeffs = restrict_to_direction(dual_quartic(), 0.0, -1.0)

@@ -21,7 +21,6 @@ from .curves import (
     ellipse_family,
     ellipse_family_residual,
     ellipse_point,
-    envelope_residual,
     evaluate_form,
     family_discriminant,
     form_gradient,
@@ -93,7 +92,6 @@ __all__ = [
     "ellipse_family",
     "ellipse_family_residual",
     "ellipse_point",
-    "envelope_residual",
     "evaluate_form",
     "family_discriminant",
     "form_gradient",

@@ -29,9 +29,9 @@ from .curves import (
     boundary_quartic,
     dual_quartic,
     ellipse_family_residual,
-    envelope_residual,
     ellipse_family,
     evaluate_form,
+    family_discriminant,
     nonrepresentability_report,
 )
 from .operators import (
@@ -212,10 +212,10 @@ def counterexample_doc(
     residuals = np.abs(
         evaluate_form(quartic, 1.0, vertices[:, 0], vertices[:, 1])
     ) / (1.0 + np.hypot(vertices[:, 0], vertices[:, 1]) ** 4)
-    family = ellipse_family()
     grid = np.linspace(0.0, TAU, 100, endpoint=False)
     family_residual = np.max(np.abs(ellipse_family_residual(grid[:, None], grid[None, :])))
-    envelope_extremes = np.max(np.abs(envelope_residual(family, [1.5, -2.5, 0.5], 0.0)))
+    discriminant = family_discriminant(ellipse_family())
+    envelope_extremes = np.max(np.abs(evaluate_form(discriminant, 1.0, [1.5, -2.5, 0.5], 0.0)))
     pipeline = nonrepresentability_report(direction_count)
     doc = {
         "kind": "counterexample-report",

@@ -181,15 +181,6 @@ def ellipse_family() -> ConicFamilyCoefficients:
     )
 
 
-def envelope_residual(family: ConicFamilyCoefficients, x, y):
-    """``alpha^2 + beta^2 - gamma^2`` at t = 1; zero exactly on the envelope
-    of the family (and -9 times the boundary quartic)."""
-    a = evaluate_form(family.alpha, 1.0, x, y)
-    b = evaluate_form(family.beta, 1.0, x, y)
-    g = evaluate_form(family.gamma, 1.0, x, y)
-    return a * a + b * b - g * g
-
-
 def family_discriminant(family: ConicFamilyCoefficients) -> TernaryForm:
     """The quartic form ``alpha^2 + beta^2 - gamma^2``.
 

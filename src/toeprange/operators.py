@@ -305,15 +305,14 @@ def fourier_unitary(n_plus_1: int, s: int) -> np.ndarray:
 def block_diagonalization_residual(spec: PeriodicBandedSpec, s: int) -> float:
     """Max-norm of ``U* C_mu U`` minus the direct sum of the symbols at the
     s-th roots of unity.  Contract: <= 1e-10 * (1 + max entry)."""
-    mu = _check_replication(spec, s)
+    _check_replication(spec, s)
     d = spec.period
-    c = c_mu(spec, s)
     u = fourier_unitary(d, s)
-    conjugated = u.conj().T @ c @ u
-    assembled = np.zeros((mu, mu), dtype=complex)
-    for q, block in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
-        assembled[q * d : (q + 1) * d, q * d : (q + 1) * d] = block
-    return max_norm(conjugated - assembled)
+    # blocks[q, :, r, :] is block (q, r) of U* C_mu U.
+    blocks = (u.conj().T @ c_mu(spec, s) @ u).reshape(s, d, s, d)
+    q = np.arange(s)
+    blocks[q, :, q, :] -= symbol_batch(spec, TAU * q / s)
+    return max_norm(blocks)
 
 
 def lift_eigenvector(v, frequency: int, replication: int) -> np.ndarray:

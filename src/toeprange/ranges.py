@@ -36,7 +36,6 @@ from .operators import (
 )
 
 HULL_COLLINEARITY_RTOL = 1e-12
-HAUSDORFF_GRID = 720
 # Batched eigensolves are chunked to roughly this many matrix entries, so
 # each rotated, Hermitian or eigenvector stack stays within 4 MiB.
 _CHUNK_ENTRY_BUDGET = 1 << 18
@@ -84,32 +83,32 @@ class ConvexPolygon:
         return np.max(self.vertices @ directions, axis=0)
 
     def diameter(self) -> float:
-        """Largest vertex distance; exact up to 256 vertices, otherwise an
-        upper bound from the widths on ``HAUSDORFF_GRID`` directions."""
-        if self.vertices.shape[0] <= 256:
-            diffs = self.vertices[:, None, :] - self.vertices[None, :, :]
-            return float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
-        phis = TAU * np.arange(HAUSDORFF_GRID) / HAUSDORFF_GRID
-        width = np.max(self.support(phis) + self.support(phis + math.pi))
-        # Some grid direction lies within pi/HAUSDORFF_GRID of the diameter's,
-        # and the width there is at least diameter * cos(pi/HAUSDORFF_GRID).
-        return float(width) / math.cos(math.pi / HAUSDORFF_GRID)
+        """Largest distance between two vertices, taken 64 vertex rows at a
+        time so no temporary grows with the square of the vertex count."""
+        x, y = self.vertices.T
+        return max(
+            float(np.max(np.hypot(x[i : i + 64, None] - x, y[i : i + 64, None] - y)))
+            for i in range(0, x.shape[0], 64)
+        )
 
     def violation(self, point) -> float:
-        """Signed distance outside the region (<= 0 means inside)."""
+        """Signed Euclidean distance to the region: the distance to the
+        nearest edge segment outside, minus the depth inside (<= 0 means
+        inside).  A single vertex is one zero-length edge."""
         p = np.asarray(point, dtype=float)
         v = self.vertices
-        if v.shape[0] == 1:
-            return float(np.hypot(*(p - v[0])))
-        if v.shape[0] == 2:
-            a, b = v
-            t = np.clip(np.dot(p - a, b - a) / max(np.dot(b - a, b - a), 1e-300), 0, 1)
-            return float(np.hypot(*(p - (a + t * (b - a)))))
         edges = np.roll(v, -1, axis=0) - v
-        lengths = np.hypot(edges[:, 0], edges[:, 1])
         rel = p[None, :] - v
+        squares = np.sum(edges * edges, axis=1)
+        t = np.clip(np.sum(rel * edges, axis=1) / np.maximum(squares, 1e-300), 0, 1)
+        outside = float(np.min(np.hypot(*(rel - t[:, None] * edges).T)))
+        if v.shape[0] < 3:
+            return outside
+        # Inside a convex region the nearest boundary point lies on the
+        # nearest edge line, so the largest half-plane distance is exact.
         cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
-        return float(np.max(-cross / lengths))
+        depth = float(np.max(-cross / np.sqrt(squares)))
+        return outside if depth > 0 else depth
 
 
 @dataclass
@@ -388,15 +387,16 @@ def angular_resolution_gap(polygon: ConvexPolygon, phi_count: int) -> float:
     """Estimate of the support sweep's inner-approximation gap,
     diameter * (1 - cos(pi/P)), valid for smooth boundaries.
 
-    It is not a bound: a corner whose normal cone falls between two grid
-    directions is missed by a first-order amount, far above this estimate.
-    A certified term is item 2 of ROADMAP.md.
+    The diameter is exact; the gap is still an estimate, not a bound: a
+    corner whose normal cone falls between two grid directions is missed by
+    a first-order amount, far above it.  A certified term is item 2 of
+    ROADMAP.md.
     """
     return polygon.diameter() * (1.0 - math.cos(math.pi / phi_count))
 
 
 def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
-    """Hausdorff distance between convex regions via the max support gap
-    over a uniform grid of directions."""
-    phis = TAU * np.arange(HAUSDORFF_GRID) / HAUSDORFF_GRID
-    return float(np.max(np.abs(p.support(phis) - q.support(phis))))
+    """Hausdorff distance between convex regions.  The distance to a convex
+    set is a convex function, so its largest value over a polygon is
+    attained at a vertex (Atallah, IPL 17, 1983)."""
+    return max(0.0, *(q.violation(v) for v in p.vertices), *(p.violation(w) for w in q.vertices))

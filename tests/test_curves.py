@@ -21,7 +21,6 @@ from toeprange.curves import (
     ellipse_family,
     ellipse_family_residual,
     ellipse_point,
-    envelope_residual,
     evaluate_form,
     family_discriminant,
     form_gradient,
@@ -209,10 +208,6 @@ class TestEllipseFamily:
             ConicFamilyCoefficients(alpha=fam.alpha, beta=fam.beta, gamma=boundary_quartic())
 
     def test_residuals_match_bivariate_reference_bitwise(self):
-        grid = np.linspace(-3.0, 3.0, 41)
-        x, y = grid[:, None], grid[None, :]
-        a, b, g = (reference_bivariate(p, x, y) for p in REFERENCE_FAMILY)
-        assert np.array_equal(envelope_residual(ellipse_family(), x, y), a * a + b * b - g * g)
         theta = np.linspace(0.0, TAU, 60, endpoint=False)[:, None]
         t = np.linspace(0.0, TAU, 50, endpoint=False)[None, :]
         px, py = ellipse_point(theta, t)
@@ -221,10 +216,10 @@ class TestEllipseFamily:
         assert np.array_equal(ellipse_family_residual(theta, t), expected)
 
     def test_envelope_residual_at_boundary_points(self):
-        fam = ellipse_family()
-        assert abs(envelope_residual(fam, 1.5, 0.0)) <= 1e-9
-        assert abs(envelope_residual(fam, -2.5, 0.0)) <= 1e-9
-        assert abs(envelope_residual(fam, 0.5, 0.0)) <= 1e-9
+        disc = family_discriminant(ellipse_family())
+        assert abs(evaluate_form(disc, 1.0, 1.5, 0.0)) <= 1e-9
+        assert abs(evaluate_form(disc, 1.0, -2.5, 0.0)) <= 1e-9
+        assert abs(evaluate_form(disc, 1.0, 0.5, 0.0)) <= 1e-9
 
     def test_envelope_proportional_to_quartic_exactly(self):
         # alpha^2 + beta^2 - gamma^2 == -9 * L(t, X, Y), integer arithmetic
@@ -236,7 +231,8 @@ class TestEllipseFamily:
 
     def test_envelope_residual_at_origin(self):
         # matches -9 * L(1, 0, 0) = -9 * (-15) = 135 = 16^2 - 11^2
-        assert envelope_residual(ellipse_family(), 0.0, 0.0) == 135.0
+        disc = family_discriminant(ellipse_family())
+        assert evaluate_form(disc, 1.0, 0.0, 0.0) == 135.0
 
 
 class TestEllipseParametrization:

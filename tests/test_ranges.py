@@ -237,18 +237,46 @@ class TestHausdorff:
         ts = TAU * np.arange(500) / 500
         p = convex_hull(np.stack([np.cos(ts), np.sin(ts)], axis=1))
         q = convex_hull(np.stack([1.1 * np.cos(ts), 1.1 * np.sin(ts)], axis=1))
-        assert abs(hausdorff_distance(p, q) - 0.1) <= 1e-3
+        assert abs(hausdorff_distance(p, q) - 0.1) <= 1e-12
 
     def test_point_vs_polygon(self):
         point = ConvexPolygon(np.array([[0.0, 0.0]]))
         square = convex_hull([(1, -1), (2, -1), (2, 1), (1, 1)])
-        assert abs(hausdorff_distance(point, square) - math.hypot(2, 1)) <= 1e-2
+        assert abs(hausdorff_distance(point, square) - math.hypot(2, 1)) <= 1e-12
+
+    def test_corner_between_grid_directions(self):
+        # The corner 0.5 + 0.002i of this normal symbol's triangle has a
+        # normal cone between two of the 720 directions, so the sweep's
+        # polygon is the segment [0, 1] and misses it by 0.002.
+        rotation = np.exp(1j * math.radians(0.25))
+        corners = rotation * np.array([0.0, 1.0, 0.5 + 0.002j])
+        spec = PeriodicBandedSpec(period=3, band=0, diagonals={0: list(corners)})
+        polygon = operator_range(spec, 8, 720).polygon
+        assert polygon.vertices.shape == (2, 2)
+        triangle = ConvexPolygon(np.stack([corners.real, corners.imag], axis=1))
+        assert abs(hausdorff_distance(polygon, triangle) - 0.002) <= 1e-12
+        assert abs(hausdorff_distance(triangle, polygon) - 0.002) <= 1e-12
+
+
+class TestViolation:
+    def test_outside_a_corner_is_the_euclidean_distance(self):
+        square = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        assert abs(square.violation((2.0, 2.0)) - math.sqrt(2)) <= 1e-15
+        assert abs(square.violation((2.0, 0.5)) - 1.0) <= 1e-15
+        assert square.violation((0.5, 0.25)) == -0.25
+
+    def test_segment_and_point(self):
+        segment = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        assert abs(segment.violation((2.0, 1.0)) - math.sqrt(2)) <= 1e-15
+        assert segment.violation((0.5, -0.25)) == 0.25
+        point = ConvexPolygon(np.array([[1.0, -1.0]]))
+        assert point.violation((4.0, 3.0)) == 5.0
 
 
 class TestDiameter:
-    def test_upper_bound_on_many_vertices(self):
-        # A thin ellipse whose major axis lies midway between two of the
-        # 720 grid directions; its diameter 2 sits between vertices 0 and 150.
+    def test_exact_on_many_vertices(self):
+        # A thin ellipse with 300 vertices, more than four blocks of rows,
+        # tilted by pi/720; its diameter 2 sits between vertices 0 and 150.
         t = TAU * np.arange(300) / 300
         x, y = np.cos(t), 1e-3 * np.sin(t)
         a = math.pi / 720
@@ -258,9 +286,7 @@ class TestDiameter:
         diffs = vertices[:, None, :] - vertices[None, :, :]
         exact = float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
         got = ConvexPolygon(vertices).diameter()
-        # An upper bound up to rounding, and within the grid factor of exact.
-        assert got >= exact * (1 - 4 * np.finfo(float).eps)
-        assert got <= exact / math.cos(math.pi / 720) * (1 + 4 * np.finfo(float).eps)
+        assert abs(got - exact) <= 4 * np.finfo(float).eps * exact
 
 
 class TestOperatorRange:
