@@ -32,7 +32,8 @@ for n in (50, 200, 1000):
     print(f"T_{n} eigenvalue extremes: [{values[0]:.6f}, {values[-1]:.6f}]")
 
 # The planar range polygon of a selfadjoint operator degenerates to a
-# segment on the real axis.  Each sample row is (support, x, y).
-report = operator_range(spec, theta_count=360, phi_count=360)
+# segment on the real axis.  Each sample row is one direction's
+# (support, x, y).
+report = operator_range(spec, phi_count=360)
 print("polygon vertices:", report.polygon.vertices)
 print("max |Im| over samples:", np.abs(report.samples[:, 2]).max())

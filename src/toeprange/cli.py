@@ -49,9 +49,10 @@ from .operators import (
     symbol_batch,
 )
 from .ranges import (
+    THETA_START,
     RangeReport,
     _check_sweep_size,
-    angular_resolution_gap,
+    flat_table,
     matrix_numerical_range,
     operator_range,
     selfadjoint_interval,
@@ -130,14 +131,25 @@ def _overlay_polygons(spec: PeriodicBandedSpec, count: int, phi_count: int):
     ]
 
 
+def _grid(args: argparse.Namespace) -> dict:
+    """The sweep's grid options as keyword arguments.  An omitted
+    ``--theta-count`` is left out, so the library default applies: the
+    certified sweep's start grid, or the 720 rows of ``flat_table``."""
+    grid = {"phi_count": args.phi_count}
+    if args.theta_count is not None:
+        grid["theta_count"] = args.theta_count
+    return grid
+
+
 def cmd_range(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
+    if args.format == "flat-table":
+        _write_output(flat_table(spec, **_grid(args)), args.out)
+        return EXIT_OK
     if args.format == "svg":
         _check_sweep_size(spec.period, args.overlay_thetas, args.phi_count)
-    report = operator_range(spec, args.theta_count, args.phi_count)
-    if args.format == "flat-table":
-        text = report.flat_table()
-    elif args.format == "svg":
+    report = operator_range(spec, **_grid(args))
+    if args.format == "svg":
         overlays = _overlay_polygons(spec, args.overlay_thetas, args.phi_count)
         text = svg.range_figure(report.polygon.vertices, overlays=overlays)
     else:
@@ -161,14 +173,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _check_replication(spec, s)
         except ValueError as exc:
             raise ValueError(f"s={s} violates a precondition: {exc}") from exc
-    report = operator_range(spec, args.theta_count, args.phi_count)
+    report = operator_range(spec, **_grid(args))
     scale = 1.0 + spec.max_entry()
     block_tol = 1e-10 * scale * args.tol_scale
     spectrum_tol = 1e-8 * args.tol_scale
     lift_tol = 1e-8 * args.tol_scale
-    inclusion_tol = (
-        angular_resolution_gap(report.polygon, args.phi_count) + 1e-8
-    ) * args.tol_scale
+    # The excess is measured against certified upper bounds, so only
+    # rounding needs an allowance.
+    inclusion_tol = 1e-8 * args.tol_scale
 
     columns = (
         "s block_residual spectrum_gap lift_residual inclusion_excess status"
@@ -200,7 +212,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def counterexample_doc(
-    *, theta_count: int, phi_count: int, direction_count: int
+    *, direction_count: int, theta_count: int = THETA_START, phi_count: int = 720
 ) -> tuple[dict, str]:
     """Machine-readable counterexample pipeline report plus a summary."""
     # Refuse an oversized certificate before the sweep, not after it.
@@ -228,8 +240,9 @@ def counterexample_doc(
     }
     summary = "\n".join(
         [
-            f"range polygon: {vertices.shape[0]} vertices at "
-            f"{theta_count}x{phi_count} resolution",
+            f"range polygon: {vertices.shape[0]} vertices from {phi_count} certified "
+            f"directions (start grid {theta_count} symbol angles, support tolerance "
+            f"{_fmt(report.residual_summary['support_tol'])})",
             f"max normalized boundary quartic residual: {_fmt(doc['quartic_residual_max'])}",
             "real axis extremes: "
             f"{_fmt(doc['real_axis_extremes'][0])} .. {_fmt(doc['real_axis_extremes'][1])}",
@@ -255,11 +268,7 @@ def parse_counterexample_doc(doc: dict) -> tuple[RangeReport, Nonrepresentabilit
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    doc, summary = counterexample_doc(
-        theta_count=args.theta_count,
-        phi_count=args.phi_count,
-        direction_count=args.direction_count,
-    )
+    doc, summary = counterexample_doc(direction_count=args.direction_count, **_grid(args))
     _write_output(summary + "\n", None)
     if args.out is not None:
         _write_output(_json(doc), args.out)
@@ -279,7 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
         if spec:
             p.add_argument("spec", help="operator spec file (JSON)")
         if sweep:
-            p.add_argument("--theta-count", type=int, default=720)
+            p.add_argument(
+                "--theta-count", type=int, default=None,
+                help=f"start grid of the certified sweep in theta (default {THETA_START}); "
+                "rows of the flat-table grid (default 720)",
+            )
             p.add_argument("--phi-count", type=int, default=720)
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
@@ -321,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args: argparse.Namespace) -> None:
     """Refuse option values no command can use, before any work starts."""
-    if getattr(args, "theta_count", 1) < 1:
+    theta_count = getattr(args, "theta_count", None)
+    if theta_count is not None and theta_count < 1:
         raise ValueError("theta-count must be >= 1")
     if getattr(args, "phi_count", 3) < 3:
         raise ValueError("phi-count must be >= 3")

@@ -43,9 +43,11 @@ def max_norm(a) -> float:
 
 
 def rotated_hermitian_parts(mats, phis) -> np.ndarray:
-    """Hermitian parts (e^{-i phi}A + e^{i phi}A*)/2 of a stack of square
-    matrices ``mats`` (..., d, d) at the angles ``phis`` (P,), stacked with
-    shape (..., P, d, d).
+    """Hermitian parts (e^{-i phi}A + e^{i phi}A*)/2 of square matrices
+    ``mats`` (..., d, d) at the angles ``phis``, which broadcast against the
+    leading axes of ``mats``: one matrix (d, d) and P angles give (P, d, d),
+    a stack (B, 1, d, d) and P angles every pair (B, P, d, d), and a stack
+    (B, d, d) with B angles one angle per matrix.
 
     Entry (j, k) of each part is exactly the conjugate of entry (k, j); its
     top eigenvalue is the support function of the numerical range of ``A``
@@ -55,8 +57,12 @@ def rotated_hermitian_parts(mats, phis) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
     phases = np.exp(-1j * np.asarray(phis, dtype=float))
-    rotated = phases[:, None, None] * m[..., None, :, :]
-    return 0.5 * (rotated + np.conj(np.swapaxes(rotated, -1, -2)))
+    rotated = phases[..., None, None] * m
+    # In place, so only two stacks of the result's size are alive at once.
+    parts = np.conj(np.swapaxes(rotated, -1, -2))
+    parts += rotated
+    parts *= 0.5
+    return parts
 
 
 def lapack(solver, *args, **kwargs):

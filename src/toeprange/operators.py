@@ -240,15 +240,11 @@ def symbol(spec: PeriodicBandedSpec, theta: float) -> np.ndarray:
     return symbol_batch(spec, [theta])[0]
 
 
-def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
-    """Stack of symbols, shape ``(len(thetas), n+1, n+1)``.
-
-    The symbol is assembled as a finite Fourier sum
-    ``sum_u A_u exp(i u theta)`` with constant harmonic matrices ``A_u``.
-    """
+def symbol_harmonics(spec: PeriodicBandedSpec) -> np.ndarray:
+    """Constant matrices ``A_u`` of the symbol ``sum_u A_u exp(i u theta)``,
+    stacked for ``u = -u_max..u_max`` (``A_u`` at index ``u + u_max``), with
+    ``u_max = ceil(m / (n+1))``."""
     d = spec.period
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    reduced = np.vectorize(lambda t: math.remainder(t, TAU), otypes=[float])(thetas)
     u_max = (spec.band + d - 1) // d
     # Entry (j, j + r) of the operator lands in harmonic u = (j + r) // d at
     # column (j + r) % d; distinct offsets never share an entry.
@@ -257,6 +253,25 @@ def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
     for r in range(-spec.band, spec.band + 1):
         cols = rows + r
         harmonics[cols // d + u_max, rows, cols % d] = spec.diagonal(r)
+    return harmonics
+
+
+def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
+    """Stack of symbols, shape ``(len(thetas), n+1, n+1)``.
+
+    The symbol is assembled as a finite Fourier sum
+    ``sum_u A_u exp(i u theta)`` over ``symbol_harmonics``.
+    """
+    d = spec.period
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if np.all((thetas >= -math.pi) & (thetas <= TAU)):
+        # There the IEEE remainder is theta or theta - 2 pi, and the
+        # difference is exact (Sterbenz), so no per-angle call is needed.
+        reduced = np.where(thetas > math.pi, thetas - TAU, thetas)
+    else:
+        reduced = np.vectorize(lambda t: math.remainder(t, TAU), otypes=[float])(thetas)
+    harmonics = symbol_harmonics(spec)
+    u_max = len(harmonics) // 2
     out = np.zeros((reduced.size, d, d), dtype=complex)
     for u, harmonic in zip(range(-u_max, u_max + 1), harmonics):
         if np.any(harmonic != 0.0):

@@ -3,18 +3,22 @@
 The numerical range of a matrix is recovered from its support function: in
 direction ``phi`` the support value is the top eigenvalue of the rotated
 Hermitian part, and the Rayleigh value of a top eigenvector is a boundary
-point attaining it.  The closure of the operator range is approximated by
-the convex hull of boundary points collected over a ``theta`` grid of
-symbols and a ``phi`` grid of directions; the hull is an inner
-approximation.  ``angular_resolution_gap`` estimates its support gap for
-smooth boundaries only; it is not a bound, since a corner between two grid
-directions is missed to first order.
-Samples inside the polygon spanned by each direction's maximizer are
-screened out before the hull is taken, which leaves the hull unchanged.
+point attaining it.
+
+The range closure of a periodic banded operator is the closed convex hull
+of its symbol ranges, so its support in direction ``phi`` is one maximum,
+sup_theta lambda_max(Re(e^{-i phi} A(theta))).  ``operator_range``
+certifies that maximum for every grid direction by branch and bound in
+``theta``: each direction gets a sound upper bound and a boundary point
+whose support is within ``SUPPORT_RTOL * (1 + sum_u ||A_u||_F)`` of it.
+The polygon spanned by the boundary points is certified, not estimated: it
+lies inside the closure, and the half-planes under the upper bounds
+enclose the closure, so the largest distance from their corners to the
+polygon bounds the Hausdorff distance between polygon and closure.
 
 Direction grids are uniform, ``phi_j = 2*pi*j/P``.  For even ``P`` one
 Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
-(top and negated bottom eigenpair), so half the directions are solved.
+(top and negated bottom eigenvalue), so half the directions are solved.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, rotated_hermitian_parts
+from .linalg import as_matrix, max_norm, rotated_hermitian_parts
 from .operators import (
     TAU,
     PeriodicBandedSpec,
     SpecError,
     is_selfadjoint,
     symbol_batch,
+    symbol_harmonics,
     truncation,
 )
 
@@ -45,6 +50,17 @@ _ROW_CHUNK = 8192
 # Sweeps whose symbol stack and sample arrays are estimated to need more
 # bytes than this are refused before anything is allocated.
 SWEEP_BYTE_CAP = 1 << 30
+# Start grid of the certified sweep in theta when none is given.
+THETA_START = 16
+# A direction's theta intervals are bisected until none of their bounds
+# exceeds its best support by more than SUPPORT_RTOL * (1 + sum ||A_u||_F).
+SUPPORT_RTOL = 1e-9
+# Bisection stops after this many eigensolves; the bounds of the intervals
+# left then are still bounds, only looser.
+REFINE_BUDGET = 1 << 18
+# Eigenvalue rounding allowance added to every certified bound, in units of
+# eps * d * (1 + sum ||A_u||_F).
+_ROUNDING_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -91,44 +107,55 @@ class ConvexPolygon:
             for i in range(0, x.shape[0], 64)
         )
 
-    def violation(self, point) -> float:
+    def violation(self, points):
         """Signed Euclidean distance to the region: the distance to the
         nearest edge segment outside, minus the depth inside (<= 0 means
-        inside).  A single vertex is one zero-length edge."""
-        p = np.asarray(point, dtype=float)
+        inside).  A single vertex is one zero-length edge.  One point (2,)
+        gives a float; a stack (n, 2) gives an (n,) array, taken 64 points
+        at a time."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim == 1:
+            return float(self._violation(p[None, :])[0])
+        return np.concatenate(
+            [self._violation(p[i : i + 64]) for i in range(0, p.shape[0], 64)]
+            or [np.zeros(0)]
+        )
+
+    def _violation(self, p: np.ndarray) -> np.ndarray:
         v = self.vertices
-        edges = np.roll(v, -1, axis=0) - v
-        rel = p[None, :] - v
-        squares = np.sum(edges * edges, axis=1)
-        t = np.clip(np.sum(rel * edges, axis=1) / np.maximum(squares, 1e-300), 0, 1)
-        outside = float(np.min(np.hypot(*(rel - t[:, None] * edges).T)))
+        ex, ey = (np.roll(v, -1, axis=0) - v).T
+        # Offsets (rx, ry) of each point from each vertex, one row per point.
+        rx, ry = p[:, :1] - v[:, 0], p[:, 1:] - v[:, 1]
+        squares = ex * ex + ey * ey
+        t = np.clip((rx * ex + ry * ey) / np.maximum(squares, 1e-300), 0, 1)
+        outside = np.min(np.hypot(rx - t * ex, ry - t * ey), axis=1)
         if v.shape[0] < 3:
             return outside
         # Inside a convex region the nearest boundary point lies on the
         # nearest edge line, so the largest half-plane distance is exact.
-        cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
-        depth = float(np.max(-cross / np.sqrt(squares)))
-        return outside if depth > 0 else depth
+        depth = np.max(-(ex * ry - ey * rx) / np.sqrt(squares), axis=1)
+        return np.where(depth > 0, outside, depth)
 
 
 @dataclass
 class RangeReport:
-    """Result bundle of an operator range sweep.
+    """Result bundle of a certified operator range sweep.
 
-    ``samples`` is a (theta_count * phi_count, 3) float array of columns
-    (support value, x, y): the support in direction ``phi`` and a boundary
-    point attaining it.  Rows are theta-major, so row ``i`` belongs to the
-    grid indices ``divmod(i, phi_count)``; the angles are not stored."""
+    Row ``j`` of ``samples`` (phi_count, 3) holds direction ``phi_j``'s
+    columns (support value, x, y): the support of the boundary point (x, y)
+    found at the direction's best ``theta``, a lower bound on the closure's
+    support.  ``upper`` (phi_count,) holds the certified upper bounds."""
 
     polygon: ConvexPolygon
     samples: np.ndarray
     theta_count: int
     phi_count: int
     residual_summary: dict[str, float] = field(default_factory=dict)
+    upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_dict(self) -> dict:
         """The range document: grid sizes, residuals and the polygon.  The
-        sample table is not part of it; ``flat_table`` writes the rows."""
+        per-direction rows and bounds are not part of it."""
         return {
             "kind": "range-report",
             "theta_count": self.theta_count,
@@ -139,7 +166,8 @@ class RangeReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RangeReport":
-        """Report read back from ``to_dict``; its ``samples`` are empty."""
+        """Report read back from ``to_dict``; its ``samples`` and ``upper``
+        are empty."""
         if doc.get("kind") != "range-report":
             raise ValueError("not a range-report document")
         return cls(
@@ -150,20 +178,19 @@ class RangeReport:
             residual_summary=dict(doc["residual_summary"]),
         )
 
-    def flat_table(self) -> str:
-        """One ``theta phi support_value x y`` row per sample under a header
-        line; the angles come from the row index, ``_ROW_CHUNK`` rows at a
-        time."""
-        row_format = " ".join(["%.17g"] * 5) + "\n"
-        pieces = ["theta phi support_value x y\n"]
-        for start in range(0, self.samples.shape[0], _ROW_CHUNK):
-            chunk = self.samples[start : start + _ROW_CHUNK]
-            t, p = np.divmod(np.arange(start, start + chunk.shape[0]), self.phi_count)
-            rows = np.column_stack(
-                [TAU * t / self.theta_count, TAU * p / self.phi_count, chunk]
-            )
-            pieces.append((row_format * rows.shape[0]) % tuple(rows.ravel().tolist()))
-        return "".join(pieces)
+
+def _table_text(samples: np.ndarray, theta_count: int, phi_count: int) -> str:
+    """One ``theta phi support_value x y`` row per sample of a theta-major
+    (theta_count * phi_count, 3) sweep under a header line; the angles come
+    from the row index, ``_ROW_CHUNK`` rows at a time."""
+    row_format = " ".join(["%.17g"] * 5) + "\n"
+    pieces = ["theta phi support_value x y\n"]
+    for start in range(0, samples.shape[0], _ROW_CHUNK):
+        chunk = samples[start : start + _ROW_CHUNK]
+        t, p = np.divmod(np.arange(start, start + chunk.shape[0]), phi_count)
+        rows = np.column_stack([TAU * t / theta_count, TAU * p / phi_count, chunk])
+        pieces.append((row_format * rows.shape[0]) % tuple(rows.ravel().tolist()))
+    return "".join(pieces)
 
 
 def _hull_tolerance(pts: np.ndarray) -> float:
@@ -171,30 +198,6 @@ def _hull_tolerance(pts: np.ndarray) -> float:
     collinear.  The largest coordinate magnitude is attained at a hull
     vertex, so the value is the same for any subset keeping the vertices."""
     return HULL_COLLINEARITY_RTOL * max(1.0, float(np.max(np.abs(pts))))
-
-
-def _hull_candidates(inner: ConvexPolygon, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points that may be vertices of the hull of ``pts``.
-
-    ``inner`` must be a polygon spanned by some of the points.  Each point
-    is bucketed by its angle around the vertex centroid of ``inner`` and
-    dropped only when it lies farther inside its wedge's edge than
-    ``convex_hull``'s collinearity distance (Akl & Toussaint, "A fast
-    convex hull algorithm", IPL 1978).
-    """
-    center = inner.vertices.mean(axis=0)
-    rel = inner.vertices - center
-    angles = np.arctan2(rel[:, 1], rel[:, 0])
-    start = int(np.argmin(angles))
-    v, angles = np.roll(inner.vertices, -start, axis=0), np.roll(angles, -start)
-    # Edge k runs from vertex k to k + 1; cross_k(p) = ex*y - ey*x - offset.
-    ex, ey = (np.roll(v, -1, axis=0) - v).T
-    offset = ex * v[:, 1] - ey * v[:, 0]
-    x, y = pts[:, 0], pts[:, 1]
-    # Wedge k lies between vertices k and k + 1; index -1 is the one that wraps.
-    wedge = np.searchsorted(angles, np.arctan2(y - center[1], x - center[0]), side="right") - 1
-    cross = ex[wedge] * y - ey[wedge] * x - offset[wedge]
-    return ~(cross > _hull_tolerance(pts) * np.hypot(ex, ey)[wedge])
 
 
 def convex_hull(points) -> ConvexPolygon:
@@ -206,7 +209,9 @@ def convex_hull(points) -> ConvexPolygon:
         raise ValueError("expected a nonempty array of planar points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("hull input must be finite")
-    pts = np.unique(pts, axis=0)  # lexicographic sort, duplicates removed
+    # Lexicographic sort, then drop repeated rows.
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
     if pts.shape[0] == 1:
         return ConvexPolygon(pts)
     tol = _hull_tolerance(pts)
@@ -251,46 +256,74 @@ def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
     Re(e^{-i(phi+pi)}A) = -Re(e^{-i phi}A), its support is minus the bottom
     eigenvalue at ``phi_j`` and its boundary point is the Rayleigh value of
     the bottom eigenvector, so only the directions ``j < P/2`` are solved.
-    For odd P every direction is solved.  Work is chunked over both axes so
-    the rotated Hermitian stack stays within a fixed entry budget."""
+    For odd P every direction is solved."""
     mats = np.asarray(matrices, dtype=complex)
     b, d, _ = mats.shape
-    half = phi_count // 2 if phi_count % 2 == 0 else phi_count
-    phis = TAU * np.arange(half) / phi_count
+    half = _solved_count(phi_count)
+    phis = np.tile(TAU * np.arange(half) / phi_count, b)
+    owner = np.arange(b * half) // half
+    values, points = _extreme_eigs(lambda rows: mats[owner[rows]], phis, d, want_points)
     out = np.empty((b, phi_count, 3 if want_points else 1))
-    phi_chunk = max(1, min(half, _CHUNK_ENTRY_BUDGET // (d * d)))
-    mat_chunk = max(1, _CHUNK_ENTRY_BUDGET // (phi_chunk * d * d))
-    for i0 in range(0, b, mat_chunk):
-        rows = slice(i0, i0 + mat_chunk)
-        part = mats[rows]
-        for j0 in range(0, half, phi_chunk):
-            cols = slice(j0, min(j0 + phi_chunk, half))
-            herm = rotated_hermitian_parts(part, phis[cols])
-            if want_points:
-                values, vectors = linalg.lapack(np.linalg.eigh, herm)
-            else:
-                values = linalg.lapack(np.linalg.eigvalsh, herm)
-            # (columns, eigenpair index, sign): column j takes the top pair;
-            # for even P, column j + P/2 takes the bottom pair, negated.
-            targets = [(cols, -1, 1.0)]
-            if half < phi_count:
-                targets.append((slice(cols.start + half, cols.stop + half), 0, -1.0))
-            for target, end, sign in targets:
-                out[rows, target, 0] = sign * values[..., end]
-                if want_points:
-                    v = vectors[..., :, end]
-                    rayleigh = np.einsum("cpi,cij,cpj->cp", np.conj(v), part, v)
-                    out[rows, target, 1] = rayleigh.real
-                    out[rows, target, 2] = rayleigh.imag
+    # (columns, eigenpair, sign): columns j < half take the top pair; for
+    # even P, columns j + half take the bottom pair, negated.
+    targets = [(slice(0, half), 1, 1.0)]
+    if half < phi_count:
+        targets.append((slice(half, phi_count), 0, -1.0))
+    for cols, end, sign in targets:
+        out[:, cols, 0] = sign * values[:, end].reshape(b, half)
+        if want_points:
+            z = points[:, end].reshape(b, half)
+            out[:, cols, 1], out[:, cols, 2] = z.real, z.imag
     return out
+
+
+def _solved_count(phi_count: int) -> int:
+    """Directions solved on a grid of ``phi_count``: the P/2 antipodal pairs
+    for even P, every direction for odd P."""
+    return phi_count // 2 if phi_count % 2 == 0 else phi_count
+
+
+def _extreme_eigs(matrices, phis: np.ndarray, size: int, want_points: bool = False):
+    """Bottom and top eigenvalues of Re(e^{-i phi_i} M_i), shape (n, 2), for
+    the ``n`` angles ``phis``; with ``want_points`` also the Rayleigh values
+    v* M_i v of the two eigenvectors, complex (n, 2), else None.
+
+    ``matrices(rows)`` returns the (c, size, size) matrices of an index
+    slice, or one (size, size) matrix shared by all of them.  The stacks are
+    chunked to ``_CHUNK_ENTRY_BUDGET`` entries."""
+    n = len(phis)
+    values = np.empty((n, 2))
+    points = np.empty((n, 2), dtype=complex) if want_points else None
+    chunk = max(1, _CHUNK_ENTRY_BUDGET // (size * size))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        mats = matrices(rows)
+        herm = rotated_hermitian_parts(mats, phis[rows])
+        if want_points:
+            eigenvalues, vectors = linalg.lapack(np.linalg.eigh, herm)
+            ends = vectors[..., [0, -1]]
+            mats = np.broadcast_to(mats, herm.shape)
+            points[rows] = np.einsum("cik,cij,cjk->ck", np.conj(ends), mats, ends)
+        else:
+            eigenvalues = linalg.lapack(np.linalg.eigvalsh, herm)
+        values[rows] = eigenvalues[:, [0, -1]]
+    return values, points
+
+
+def _check_counts(theta_count: int, phi_count: int) -> None:
+    if theta_count < 1:
+        raise ValueError("theta_count must be >= 1")
+    if phi_count < 3:
+        raise ValueError("phi_count must be >= 3")
 
 
 def _check_sweep_size(period: int, theta_count: int, phi_count: int) -> None:
     """Raise ``ValueError`` when the (theta_count, d, d) complex symbol stack
     plus the theta_count * phi_count samples are estimated to exceed
     ``SWEEP_BYTE_CAP``.  Each sample is charged 64 bytes: its 24-byte
-    (support, x, y) row plus the hull's working copies, which is what a
-    720 x 720 sweep peaks at per sample."""
+    (support, x, y) row plus working copies, which is what a 720 x 720
+    uniform sweep peaks at per sample; a certified sweep keeps less per
+    start-grid pair (its values and its theta interval)."""
     estimate = theta_count * (16 * period * period + 64 * phi_count)
     if estimate > SWEEP_BYTE_CAP:
         raise ValueError(
@@ -311,39 +344,154 @@ def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
     return convex_hull(sweep[0, :, 1:])
 
 
-def operator_range(
-    spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int = 720
-) -> RangeReport:
-    """Convex hull of boundary points of the symbol ranges over a uniform
-    ``theta`` x ``phi`` grid, bundled with the sweep's (support, x, y)
-    samples."""
-    if theta_count < 1:
-        raise ValueError("theta_count must be >= 1")
-    if phi_count < 3:
-        raise ValueError("phi_count must be >= 3")
+def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int = 720) -> str:
+    """The uniform sweep as text: one ``theta phi support_value x y`` row
+    per pair of the ``theta`` x ``phi`` grid, theta-major, under a header
+    line.  Each row is a symbol's support and a boundary point attaining it;
+    nothing is certified between grid angles."""
+    _check_counts(theta_count, phi_count)
     _check_sweep_size(spec.period, theta_count, phi_count)
     thetas = TAU * np.arange(theta_count) / theta_count
-    phis = TAU * np.arange(phi_count) / phi_count
     sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=True)
-    supports, points = sweep[..., 0], sweep[..., 1:]
+    return _table_text(sweep.reshape(-1, 3), theta_count, phi_count)
 
-    # One expression, so no full-length array outlives it into the screening.
-    attainment_gap = float(
-        np.max(supports - (points[..., 0] * np.cos(phis) + points[..., 1] * np.sin(phis)))
+
+def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, half: int, phis, targets):
+    """Branch and bound in theta for each solved direction ``phis[k]``.
+
+    Target 0 is lambda_max(H_k(theta)) with H_k = Re(e^{-i phi_k} A(theta));
+    target 1, present when ``targets`` is 2, is -lambda_min(H_k(theta)), the
+    support of the antipodal direction.  Returns the best theta and a
+    certified upper bound of each target's maximum over theta, both of
+    shape (half, targets).
+
+    If theta' is an interior maximizer of lambda on [a, b] with top
+    eigenvector v, then g(theta) = v* H(theta) v touches lambda from below at
+    theta', so g'(theta') = 0, and |g''| <= L2 = sum_u u^2 ||A_u||_F.  So
+    lambda(theta') is under both parabolas lambda(a) + L2 (theta' - a)^2 / 2
+    and lambda(b) + L2 (b - theta')^2 / 2, and the maximum over [a, b] is at
+    most the larger end value or the height where the parabolas cross, at
+    most max(lambda(a), lambda(b)) + L2 (b - a)^2 / 8.  No simplicity
+    assumption is needed, and the same holds for -H.
+    """
+    harmonics = symbol_harmonics(spec)
+    orders = np.arange(len(harmonics)) - len(harmonics) // 2
+    norms = np.sqrt(np.sum(np.abs(harmonics) ** 2, axis=(1, 2)))
+    scale = 1.0 + float(np.sum(norms))
+    curvature = float(np.sum(orders**2 * norms))
+    tolerance = SUPPORT_RTOL * scale
+    signs = np.array([1.0, -1.0])[:targets]
+
+    def evaluate(pairs, thetas):
+        values, _ = _extreme_eigs(
+            lambda rows: symbol_batch(spec, thetas[rows]), phis[pairs], spec.period
+        )
+        return values[:, ::-1][:, :targets] * signs
+
+    grid = TAU * np.arange(theta_count) / theta_count
+    start = evaluate(np.repeat(np.arange(half), theta_count), np.tile(grid, half))
+    start = start.reshape(half, theta_count, targets)
+    best = start.max(axis=1)
+    best_theta = grid[start.argmax(axis=1)]
+    # Interval i of direction k runs from grid[i] to grid[i + 1] (2 pi last).
+    k = np.repeat(np.arange(half), theta_count)
+    a = np.tile(grid, half)
+    b = np.tile(np.append(grid[1:], TAU), half)
+    va = start.reshape(-1, targets)
+    vb = np.roll(start, -1, axis=1).reshape(-1, targets)
+    del start
+    upper = best.copy()
+    budget = REFINE_BUDGET
+    while k.size:
+        # The parabolas cross at ``cross`` from a (a constant symbol has
+        # L2 = 0 and no interior excess).
+        width = (b - a)[:, None]
+        cross = 0.0
+        if curvature:
+            cross = np.clip(0.5 * width + (vb - va) / (curvature * width), 0.0, width)
+        bound = np.maximum(np.maximum(va, vb), va + 0.5 * curvature * cross**2)
+        gain = np.max(bound - best[k], axis=1)
+        split = gain > tolerance
+        if np.count_nonzero(split) > budget:
+            # Best first: only the intervals whose bound exceeds the best
+            # value the most are bisected; the others keep their bounds.
+            split = np.zeros_like(split)
+            split[np.argsort(-gain, kind="stable")[:budget]] = True
+        np.maximum.at(upper, k[~split], bound[~split])
+        k, a, b, va, vb = (column[split] for column in (k, a, b, va, vb))
+        budget -= k.size
+        if not k.size:
+            break
+        mid = 0.5 * (a + b)
+        vm = evaluate(k, mid)
+        for t in range(targets):
+            top = np.full(half, -np.inf)
+            np.maximum.at(top, k, vm[:, t])
+            won = (vm[:, t] == top[k]) & (top[k] > best[k, t])
+            best_theta[k[won], t] = mid[won]
+            best[:, t] = np.maximum(best[:, t], top)
+        k = np.concatenate([k, k])
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+    rounding = _ROUNDING_ULPS * np.finfo(float).eps * spec.period * scale
+    return best_theta, upper + rounding
+
+
+def operator_range(
+    spec: PeriodicBandedSpec, theta_count: int = THETA_START, phi_count: int = 720
+) -> RangeReport:
+    """Certified range closure over the uniform direction grid.
+
+    Each direction's support over ``theta`` is bounded by branch and bound
+    from a uniform start grid of ``theta_count`` angles; one ``eigh`` at the
+    direction's best ``theta`` then gives its boundary point.  The polygon
+    is their convex hull.  ``residual_summary`` holds
+    ``support_attainment_gap`` (largest support minus the boundary point's
+    projection), ``support_tol`` (largest upper bound minus support) and
+    ``certified_gap``, an upper bound on the Hausdorff distance between the
+    polygon and the closure: the closure lies in the intersection of the
+    half-planes <z, n_j> <= upper_j, which lies in the hull of the corners
+    where consecutive lines meet (a normal between n_j and n_{j+1} is a
+    nonnegative combination of the two), so the corners' largest distance
+    to the polygon bounds every point's."""
+    _check_counts(theta_count, phi_count)
+    _check_sweep_size(spec.period, theta_count, phi_count)
+    half = _solved_count(phi_count)
+    targets = 2 if half < phi_count else 1
+    phis = TAU * np.arange(half) / phi_count
+    best_theta, upper = _certified_maxima(spec, theta_count, half, phis, targets)
+
+    # One eigh per direction at its best theta: direction j < half takes
+    # the top eigenpair of pair j, direction j + half the bottom one.
+    pairs = np.tile(np.arange(half), targets)
+    thetas = best_theta.T.ravel()
+    values, points = _extreme_eigs(
+        lambda rows: symbol_batch(spec, thetas[rows]), phis[pairs], spec.period,
+        want_points=True,
     )
-    # Each direction's maximizer over theta is a hull vertex candidate; the
-    # polygon they span lies inside the hull and screens out interior points.
-    flat = points.reshape(-1, 2)
-    inner = convex_hull(points[supports.argmax(axis=0), np.arange(phi_count)])
-    if inner.vertices.shape[0] >= 3:
-        flat = flat[_hull_candidates(inner, flat)]
-    polygon = convex_hull(flat)
+    top = np.arange(phi_count) < half
+    point = np.where(top, points[:, 1], points[:, 0])
+    support = np.where(top, values[:, 1], -values[:, 0])
+    samples = np.column_stack([support, point.real, point.imag])
+    upper = upper.T.ravel()
+    polygon = convex_hull(samples[:, 1:])
+
+    angles = TAU * np.arange(phi_count) / phi_count
+    c, s = np.cos(angles), np.sin(angles)
+    c1, s1, u1 = np.roll(c, -1), np.roll(s, -1), np.roll(upper, -1)
+    det = c * s1 - s * c1
+    corners = np.column_stack([(upper * s1 - s * u1) / det, (c * u1 - upper * c1) / det])
     return RangeReport(
         polygon=polygon,
-        samples=sweep.reshape(-1, 3),
+        samples=samples,
         theta_count=theta_count,
         phi_count=phi_count,
-        residual_summary={"support_attainment_gap": attainment_gap},
+        residual_summary={
+            "support_attainment_gap": float(np.max(support - (point.real * c + point.imag * s))),
+            "support_tol": float(np.max(upper - support)),
+            "certified_gap": float(np.max(polygon.violation(corners))),
+        },
+        upper=upper,
     )
 
 
@@ -366,37 +514,56 @@ def selfadjoint_interval(
 def truncation_inclusion_check(
     spec: PeriodicBandedSpec, n_rows: int, report: RangeReport
 ) -> float:
-    """Worst support excess of the ``n_rows`` truncation over the report's
-    polygon across the report's direction grid.
+    """Largest excess, max_j (h_T(phi_j) - upper_j), of the ``n_rows``
+    truncation's support over the report's certified upper bounds.
 
-    Truncation ranges lie in the range closure, so the excess is at most
-    the distance from the report's polygon to the closure.  That distance
-    has a ``phi`` term, the angular resolution gap, and a ``theta`` term from
-    the symbols missed between grid angles; ``angular_resolution_gap`` covers
-    only the first.  On coarse ``theta`` grids the excess can exceed it
-    (``verify specs/counterexample.json --theta-count 3`` fails); a bound
-    with both terms is item 2 of ROADMAP.md.
+    Truncation ranges lie in the range closure, so the excess is <= 0 up to
+    eigenvalue rounding.  Every 8th direction pair is solved first.  The
+    support of a direction between two solved ones is at most that of the
+    wedge their tangent lines form, so the directions between them are
+    solved (by bisection of the gap) only while some wedge bound minus
+    ``upper_j`` reaches the best excess found, less a rounding margin; the
+    result equals the maximum over every direction.  Wedges are used only
+    for gaps of at most pi/2, where the rounding of the two solved supports
+    is amplified at most sqrt(2) times.
     """
+    phi_count = report.phi_count
+    upper = np.asarray(report.upper, dtype=float)
+    if upper.shape != (phi_count,):
+        raise ValueError("the report carries no certified upper bounds")
     t_n = truncation(spec, n_rows)
-    phis = TAU * np.arange(report.phi_count) / report.phi_count
-    supports = _batched_support(t_n[None, :, :], report.phi_count, want_points=False)
-    return float(np.max(supports[0, :, 0] - report.polygon.support(phis)))
-
-
-def angular_resolution_gap(polygon: ConvexPolygon, phi_count: int) -> float:
-    """Estimate of the support sweep's inner-approximation gap,
-    diameter * (1 - cos(pi/P)), valid for smooth boundaries.
-
-    The diameter is exact; the gap is still an estimate, not a bound: a
-    corner whose normal cone falls between two grid directions is missed by
-    a first-order amount, far above it.  A certified term is item 2 of
-    ROADMAP.md.
-    """
-    return polygon.diameter() * (1.0 - math.cos(math.pi / phi_count))
+    margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
+    half = _solved_count(phi_count)
+    supports = np.zeros(phi_count)
+    solved = np.zeros(phi_count, dtype=bool)
+    new = np.arange(0, half, 8)
+    while True:
+        values, _ = _extreme_eigs(lambda rows: t_n, TAU * new / phi_count, n_rows)
+        supports[new], solved[new] = values[:, 1], True
+        if half < phi_count:
+            supports[new + half], solved[new + half] = -values[:, 0], True
+        best = float(np.max(supports[solved] - upper[solved]))
+        done, open_ = np.flatnonzero(solved), np.flatnonzero(~solved)
+        if not open_.size:
+            return best
+        # Solved neighbours a < j < b (cyclically) of each open direction j.
+        after = np.searchsorted(done, open_)
+        a, b = done[after - 1], done[after % done.size]
+        da, db = (open_ - a) % phi_count, (b - open_) % phi_count
+        gap = da + db
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wedge = (supports[a] * np.sin(TAU * db / phi_count)
+                     + supports[b] * np.sin(TAU * da / phi_count)) / np.sin(TAU * gap / phi_count)
+        wedge = np.where(4 * gap <= phi_count, wedge, np.inf)
+        reach = wedge - upper[open_] >= best - margin
+        if not np.any(reach):
+            return best
+        new = np.unique((a[reach] + gap[reach] // 2) % phi_count % half)
 
 
 def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """Hausdorff distance between convex regions.  The distance to a convex
     set is a convex function, so its largest value over a polygon is
     attained at a vertex (Atallah, IPL 17, 1983)."""
-    return max(0.0, *(q.violation(v) for v in p.vertices), *(p.violation(w) for w in q.vertices))
+    return max(0.0, float(np.max(q.violation(p.vertices))),
+               float(np.max(p.violation(q.vertices))))

@@ -121,14 +121,21 @@ class TestRange:
         assert report.samples.shape == (0, 3)
 
     def test_report_doc_polygon_is_hull_of_flat_table(self, tmp_path):
+        # The report-doc polygon is the hull of the certified boundary points,
+        # whose supports are at least the flat table's largest support in
+        # each direction, from the same start grid, and at most the bounds.
         args = ["range", COUNTEREXAMPLE, "--theta-count", "30", "--phi-count", "36"]
         doc_path, table_path = tmp_path / "report.json", tmp_path / "table.txt"
         assert cli.main(args + ["--out", str(doc_path)]) == 0
         assert cli.main(args + ["--format", "flat-table", "--out", str(table_path)]) == 0
         table = np.loadtxt(table_path, skiprows=1)
         assert table.shape == (30 * 36, 5)
+        library = operator_range(counterexample_spec(), 30, 36)
         polygon = json.loads(doc_path.read_text())["polygon"]
-        assert np.array_equal(np.array(polygon), convex_hull(table[:, 3:]).vertices)
+        assert np.array_equal(np.array(polygon), convex_hull(library.samples[:, 1:]).vertices)
+        largest = table[:, 2].reshape(30, 36).max(axis=0)
+        assert np.all(library.samples[:, 0] >= largest - 1e-12)
+        assert np.all(largest <= library.upper)
 
     def test_report_doc_matches_library(self, tmp_path):
         out = tmp_path / "report.json"
@@ -155,6 +162,12 @@ class TestRange:
             tracemalloc.stop()
         samples = 180 * 180 * 40
         assert peak < 2 * out.stat().st_size + samples + 4 * 2**20
+
+    def test_flat_table_keeps_the_720_row_default(self, tmp_path):
+        out = tmp_path / "table.txt"
+        args = ["range", FREE_JACOBI, "--phi-count", "3", "--format", "flat-table"]
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 720 * 3
 
     def test_flat_table_deterministic(self, tmp_path):
         args = ["range", COUNTEREXAMPLE, "--theta-count", "18", "--phi-count", "18",
@@ -256,6 +269,16 @@ class TestVerify:
         rows = [line for line in out.splitlines() if line and line[0].isdigit()]
         assert len(rows) == 3
         assert all(row.endswith("PASS") for row in rows)
+
+    def test_coarse_start_grid_passes(self, capsys):
+        # The excess is taken against certified bounds, so a 3-angle start
+        # grid cannot make rows that hold FAIL.
+        assert cli.main(["verify", COUNTEREXAMPLE, "--theta-count", "3"]) == 0
+        out = capsys.readouterr().out
+        rows = [line.split() for line in out.splitlines() if line and line[0].isdigit()]
+        assert [row[-1] for row in rows] == ["PASS"] * 3
+        assert all(float(row[4]) <= 0.0 for row in rows)
+        assert out.splitlines()[-1].split()[-1] == "1e-08"
 
     def test_random_spec_passes(self, tmp_path):
         rng = np.random.default_rng(50)

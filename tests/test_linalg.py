@@ -47,7 +47,7 @@ class TestRotatedHermitianPart:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
         phis = rng.uniform(-10, 10, 7)
-        h = rotated_hermitian_parts(a, phis)
+        h = rotated_hermitian_parts(a[:, None], phis)
         assert h.shape == (20, 7, 4, 4)
         assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
 
@@ -56,11 +56,22 @@ class TestRotatedHermitianPart:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
         phis = rng.uniform(0.0, 2 * math.pi, 4)
-        stacked = rotated_hermitian_parts(a, phis)
+        stacked = rotated_hermitian_parts(a[..., None, :, :], phis)
         assert stacked.shape == (2, 3, 4, 5, 5)
         for i in np.ndindex(2, 3):
             for j, phi in enumerate(phis):
                 assert np.array_equal(stacked[i][j], rotated_hermitian_parts(a[i], [phi])[0])
+
+    def test_one_angle_per_matrix(self):
+        # Angles broadcast against the leading axes: part i is matrix i at
+        # angle i, bit for bit.
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        phis = rng.uniform(0.0, 2 * math.pi, 6)
+        zipped = rotated_hermitian_parts(a, phis)
+        assert zipped.shape == (6, 3, 3)
+        for i, phi in enumerate(phis):
+            assert np.array_equal(zipped[i], rotated_hermitian_parts(a[i], [phi])[0])
 
     def test_rejects_nonsquare(self):
         for shape in ((2, 3), (4, 2, 3), (3,)):

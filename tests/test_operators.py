@@ -268,6 +268,18 @@ class TestSymbol:
         spec = random_spec(np.random.default_rng(18), 3, 2)
         assert symbol_batch(spec, []).shape == (0, 3, 3)
 
+    def test_angles_in_range_reduce_like_the_ieee_remainder(self):
+        # Angles in [-pi, 2 pi] skip the per-angle math.remainder; one angle
+        # outside the range sends the whole batch through it.
+        rng = np.random.default_rng(19)
+        spec = random_spec(rng, 3, 4)
+        thetas = np.concatenate(
+            [rng.uniform(-math.pi, TAU, 300), [math.pi, -math.pi, TAU, 0.0, -0.0]]
+        )
+        fast = symbol_batch(spec, thetas)
+        slow = symbol_batch(spec, np.append(thetas, 10.0))[:-1]
+        assert fast.tobytes() == slow.tobytes()
+
     def test_hermitian_transfer(self):
         rng = np.random.default_rng(17)
         for _ in range(10):

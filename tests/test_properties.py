@@ -8,8 +8,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from toeprange.operators import TAU, PeriodicBandedSpec  # noqa: E402
-from toeprange.ranges import ConvexPolygon, convex_hull, operator_range  # noqa: E402
+from toeprange.operators import TAU, PeriodicBandedSpec, symbol_harmonics, truncation  # noqa: E402
+from toeprange.ranges import (  # noqa: E402
+    SUPPORT_RTOL,
+    ConvexPolygon,
+    _batched_support,
+    convex_hull,
+    operator_range,
+)
 
 GRID = 24
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
@@ -45,6 +51,13 @@ def tolerance(spec: PeriodicBandedSpec) -> float:
     return 1e-9 * (1.0 + spec.max_entry())
 
 
+def band_width(spec: PeriodicBandedSpec) -> float:
+    """Largest width of a certified band [support, upper]: the refinement
+    tolerance plus the rounding allowance."""
+    norms = np.sqrt(np.sum(np.abs(symbol_harmonics(spec)) ** 2, axis=(1, 2)))
+    return (SUPPORT_RTOL + 1e-13 * spec.period) * (1.0 + float(np.sum(norms)))
+
+
 def grid_gap(p: ConvexPolygon, q: ConvexPolygon) -> float:
     """Largest support difference over the sweep's direction grid.
 
@@ -59,12 +72,22 @@ def grid_gap(p: ConvexPolygon, q: ConvexPolygon) -> float:
 @PROPERTY
 @given(specs(), st.floats(0.25, 4.0), st.integers(0, GRID - 1), entry)
 def test_affine_equivariance(spec, rho, k, beta):
-    # A rotation by a multiple of the direction step maps the phi grid to itself.
+    # A rotation by a multiple of the direction step maps the phi grid to
+    # itself, so the image's support in direction j is rho times the
+    # support in direction j - k plus <beta, n_j>.  Each certified band
+    # [support, upper] holds the true value, so the image's bands and the
+    # mapped bands of the spec overlap.
     alpha = rho * cmath.exp(1j * TAU * k / GRID)
     image = transformed(spec, lambda r, j, z: alpha * z + (beta if r == 0 else 0.0))
-    z = alpha * (polygon(spec).vertices @ [1.0, 1j]) + beta
-    expected = ConvexPolygon(np.stack([z.real, z.imag], axis=1))
-    assert grid_gap(polygon(image), expected) <= tolerance(image)
+    phis = TAU * np.arange(GRID) / GRID
+    shift = beta.real * np.cos(phis) + beta.imag * np.sin(phis)
+    base, mapped = operator_range(spec, GRID, GRID), operator_range(image, GRID, GRID)
+    lower = rho * np.roll(base.samples[:, 0], k) + shift
+    upper = rho * np.roll(base.upper, k) + shift
+    tol = 1e-12 * (1.0 + image.max_entry())
+    assert np.all(mapped.samples[:, 0] <= upper + tol)
+    assert np.all(lower <= mapped.upper + tol)
+    assert np.all(mapped.upper - mapped.samples[:, 0] <= band_width(image))
 
 
 @PROPERTY
@@ -86,10 +109,22 @@ def test_periodic_diagonal_unitary_similarity(spec, psi):
 @PROPERTY
 @given(specs(), st.sampled_from([1.0, 1e-3, 1e-5]))
 def test_polygon_support_is_the_largest_sampled_support(spec, scale):
-    # On the sweep's own direction grid the hull loses no sample, at any
-    # scale: its support there is the largest support value over theta.
+    # On the sweep's own direction grid the hull loses no boundary point,
+    # at any scale: its support there lies in the certified band
+    # [support, upper], which is at most the refinement tolerance wide.
     spec = transformed(spec, lambda r, j, z: scale * z)
     report = operator_range(spec, GRID, GRID)
-    sampled = report.samples[:, 0].reshape(GRID, GRID).max(axis=0)
     phis = TAU * np.arange(GRID) / GRID
-    assert np.max(np.abs(report.polygon.support(phis) - sampled)) <= tolerance(spec)
+    support = report.polygon.support(phis)
+    tol = 1e-12 * (1.0 + spec.max_entry())
+    assert np.all(support >= report.samples[:, 0] - tol)
+    assert np.all(support <= report.upper + tol)
+    assert np.all(report.upper - report.samples[:, 0] <= band_width(spec))
+
+
+@PROPERTY
+@given(specs(), st.integers(1, 12))
+def test_truncation_supports_stay_under_the_certified_bounds(spec, n_rows):
+    report = operator_range(spec, phi_count=GRID)
+    supports = _batched_support(truncation(spec, n_rows)[None], GRID, want_points=False)
+    assert np.all(supports[0, :, 0] <= report.upper + 1e-8)

@@ -20,15 +20,19 @@ from toeprange.operators import (
     random_spec,
     symbol,
     symbol_batch,
+    symbol_harmonics,
     truncation,
 )
 from toeprange.ranges import (
+    REFINE_BUDGET,
+    SUPPORT_RTOL,
     ConvexPolygon,
     RangeReport,
     _batched_support,
     _check_sweep_size,
-    angular_resolution_gap,
+    _table_text,
     convex_hull,
+    flat_table,
     hausdorff_distance,
     matrix_numerical_range,
     operator_range,
@@ -41,26 +45,42 @@ SELFADJOINT_PERIOD3 = os.path.join(
 )
 
 
-def reference_rows(report):
+def uniform_sweep(spec, theta_count, phi_count):
+    """The uniform sweep's theta-major (support, x, y) rows."""
+    thetas = TAU * np.arange(theta_count) / theta_count
+    sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=True)
+    return sweep.reshape(-1, 3)
+
+
+def reference_rows(samples, theta_count, phi_count):
     """Flat-table rows as a (k, 5) array built the way the structured sample
     table was: the angle grids repeated and tiled, then the sample columns."""
-    thetas = TAU * np.arange(report.theta_count) / report.theta_count
-    phis = TAU * np.arange(report.phi_count) / report.phi_count
-    n = len(report.samples)
+    thetas = TAU * np.arange(theta_count) / theta_count
+    phis = TAU * np.arange(phi_count) / phi_count
+    n = len(samples)
     return np.column_stack(
-        [
-            np.repeat(thetas, report.phi_count)[:n],
-            np.tile(phis, report.theta_count)[:n],
-            report.samples,
-        ]
+        [np.repeat(thetas, phi_count)[:n], np.tile(phis, theta_count)[:n], samples]
     )
 
 
-def reference_table(report) -> str:
+def reference_table(samples, theta_count, phi_count) -> str:
     lines = ["theta phi support_value x y"] + [
-        " ".join(f"{float(v):.17g}" for v in row) for row in reference_rows(report)
+        " ".join(f"{float(v):.17g}" for v in row)
+        for row in reference_rows(samples, theta_count, phi_count)
     ]
     return "\n".join(lines) + "\n"
+
+
+def theta_reference(spec, phi_count, theta_count=4096):
+    """Largest support over a fine uniform theta grid, per direction."""
+    return uniform_sweep(spec, theta_count, phi_count)[:, 0].reshape(theta_count, -1).max(axis=0)
+
+
+def band_width(spec) -> float:
+    """What the certified band [support, upper] may span: the refinement
+    tolerance plus the rounding allowance."""
+    norms = np.sqrt(np.sum(np.abs(symbol_harmonics(spec)) ** 2, axis=(1, 2)))
+    return (SUPPORT_RTOL + 1e-13 * spec.period) * (1.0 + float(np.sum(norms)))
 
 
 def support_function(a, phi: float) -> tuple[float, tuple[float, float]]:
@@ -149,13 +169,20 @@ class TestBatchedSupport:
 
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        # Without refinement the branch and bound solves only its start grid,
+        # once per direction pair; the boundary points take one eigh per
+        # direction, at that direction's own best theta.
+        monkeypatch.setattr(ranges, "REFINE_BUDGET", 0)
         spec = counterexample_spec()
-        for theta_count, phi_count, expected in ((9, 41, 9 * 41), (9, 40, 9 * 20)):
-            solved["eigh"] = 0
+        for theta_count, phi_count, pairs in ((9, 41, 41), (9, 40, 20)):
+            solved.update(eigh=0, eigvalsh=0)
             report = operator_range(spec, theta_count, phi_count)
-            assert solved == {"eigh": expected, "eigvalsh": 0}
+            assert solved == {"eigh": phi_count, "eigvalsh": theta_count * pairs}
+        solved.update(eigh=0, eigvalsh=0)
         truncation_inclusion_check(spec, 12, report)
-        assert solved["eigvalsh"] == 20
+        assert solved["eigh"] == 0 and 0 < solved["eigvalsh"] <= 20
+        # The start grid's bounds alone are sound.
+        assert np.all(theta_reference(spec, 40, 512) <= report.upper)
 
 
 class TestMatrixNumericalRange:
@@ -322,12 +349,18 @@ class TestOperatorRange:
         ],
     )
     def test_polygon_support_is_sampled_support_on_the_grid(self, diagonals):
+        # On the direction grid the polygon's support lies in the certified
+        # band [support, upper], which is at most the refinement tolerance
+        # wide and holds the largest support over a fine theta grid.
         spec = PeriodicBandedSpec(2, 1, diagonals)
         report = operator_range(spec, 24, 24)
         phis = TAU * np.arange(24) / 24
-        sampled = report.samples[:, 0].reshape(24, 24).max(axis=0)
-        gap = np.max(np.abs(report.polygon.support(phis) - sampled))
-        assert gap <= 1e-9 * (1.0 + spec.max_entry())
+        support = report.polygon.support(phis)
+        tol = 1e-12 * (1.0 + spec.max_entry())
+        assert np.all(support >= report.samples[:, 0] - tol)
+        assert np.all(support <= report.upper + tol)
+        assert np.all(report.upper - report.samples[:, 0] <= band_width(spec))
+        assert np.all(theta_reference(spec, 24) <= report.upper)
 
     def test_polygon_is_hull_of_samples(self):
         report = operator_range(counterexample_spec(), 40, 40)
@@ -485,9 +518,8 @@ class TestTruncationInclusion:
     def test_counterexample_inclusion(self):
         spec = counterexample_spec()
         report = operator_range(spec, 360, 360)
-        bound = angular_resolution_gap(report.polygon, 360) + 1e-8
         for n in (10, 25, 40):
-            assert truncation_inclusion_check(spec, n, report) <= bound
+            assert truncation_inclusion_check(spec, n, report) <= 1e-8
 
     def test_single_entry_truncation(self):
         spec = counterexample_spec()
@@ -525,7 +557,7 @@ class TestRangeReport:
         again = RangeReport.from_dict(doc)
         assert again.samples.shape == (0, 3) and again.samples.dtype == report.samples.dtype
         assert again.to_dict() == doc
-        assert report.flat_table() == "theta phi support_value x y\n"
+        assert _table_text(report.samples, 4, 4) == "theta phi support_value x y\n"
 
     def test_from_dict_rejects_malformed_rows(self):
         doc = operator_range(counterexample_spec(), 4, 5).to_dict()
@@ -541,35 +573,161 @@ class TestRangeReport:
                 RangeReport.from_dict({**doc, **edit})
 
     def test_flat_table_matches_row_formatting(self):
-        report = operator_range(counterexample_spec(), 9, 11)
-        assert report.samples.shape == (9 * 11, 3)
-        assert report.flat_table() == reference_table(report)
+        spec = counterexample_spec()
+        samples = uniform_sweep(spec, 9, 11)
+        assert samples.shape == (9 * 11, 3)
+        assert flat_table(spec, 9, 11) == reference_table(samples, 9, 11)
 
     @pytest.mark.parametrize("n_samples", [0, 1, 3, 4, 5, 9])
     def test_chunked_writers_match_references(self, monkeypatch, n_samples):
         monkeypatch.setattr(ranges, "_ROW_CHUNK", 4)
-        report = operator_range(counterexample_spec(), 3, 4)
-        report.samples = report.samples[:n_samples]
-        assert report.flat_table() == reference_table(report)
+        samples = uniform_sweep(counterexample_spec(), 3, 4)[:n_samples]
+        assert _table_text(samples, 3, 4) == reference_table(samples, 3, 4)
 
     def test_flat_table_angles_are_the_repeated_grids(self, monkeypatch):
         # Chunks of 4 rows cut the theta rows of P = 7 directions mid-row.
         monkeypatch.setattr(ranges, "_ROW_CHUNK", 4)
-        report = operator_range(counterexample_spec(), 5, 7)
-        table = np.array(
-            [[float(v) for v in line.split()] for line in report.flat_table().splitlines()[1:]]
-        )
-        reference = reference_rows(report)
+        spec = counterexample_spec()
+        text = flat_table(spec, 5, 7)
+        table = np.array([[float(v) for v in line.split()] for line in text.splitlines()[1:]])
+        reference = reference_rows(uniform_sweep(spec, 5, 7), 5, 7)
         assert table.shape == reference.shape == (5 * 7, 5)
         assert table.tobytes() == reference.tobytes()
 
     def test_flat_table_shape(self):
-        report = operator_range(counterexample_spec(), 5, 7)
-        lines = report.flat_table().strip().split("\n")
+        lines = flat_table(counterexample_spec(), 5, 7).strip().split("\n")
         assert lines[0] == "theta phi support_value x y"
-        assert len(lines) == 1 + 5 * 7 == 1 + len(report.samples)
+        assert len(lines) == 1 + 5 * 7
         assert all(len(line.split()) == 5 for line in lines[1:])
+        with pytest.raises(ValueError):
+            flat_table(counterexample_spec(), 0, 7)
+        with pytest.raises(ValueError, match="cap"):
+            flat_table(counterexample_spec(), 2, 10**13)
 
     def test_support_attainment_residual(self):
         report = operator_range(counterexample_spec(), 30, 30)
         assert report.residual_summary["support_attainment_gap"] <= 1e-9
+
+
+def fejer_spec(peak: float, order: int = 24) -> PeriodicBandedSpec:
+    """Period-1 scalar symbol sum_r (1 - |r|/(order + 1)) e^{ir(theta - peak)},
+    the Fejer kernel: real, at least 0, with one sharp maximum order + 1 at
+    ``peak``."""
+    diagonals = {
+        r: [(1.0 - abs(r) / (order + 1)) * np.exp(-1j * r * peak)]
+        for r in range(-order, order + 1)
+    }
+    return PeriodicBandedSpec(1, order, diagonals)
+
+
+class TestCertifiedSupports:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            counterexample_spec(),
+            random_spec(np.random.default_rng(60), 3, 2),
+            random_spec(np.random.default_rng(61), 4, 5),
+        ],
+    )
+    def test_upper_bounds_a_fine_theta_reference(self, spec):
+        report = operator_range(spec, phi_count=90)
+        assert report.samples.shape == (90, 3) and report.upper.shape == (90,)
+        assert np.all(theta_reference(spec, 90) <= report.upper)
+        assert np.all(report.upper - report.samples[:, 0] <= band_width(spec))
+        summary = report.residual_summary
+        assert summary["support_tol"] == np.max(report.upper - report.samples[:, 0])
+        # Points of the closure lie within the certified gap of the polygon.
+        closure = uniform_sweep(spec, 128, 360)[:, 1:]
+        assert np.max(report.polygon.violation(closure)) <= summary["certified_gap"]
+
+    def test_planted_maximizer_between_start_grid_points(self):
+        # The peak value 25 sits midway between two of the 16 start angles,
+        # where the symbol is below 2.
+        spec = fejer_spec(TAU * 0.5 / 16)
+        assert np.max(uniform_sweep(spec, 16, 8)[:, 0]) < 2.0
+        report = operator_range(spec, phi_count=8)
+        assert report.upper[0] >= 25.0
+        assert report.samples[0, 0] >= 25.0 - band_width(spec)
+        assert np.all(theta_reference(spec, 8) <= report.upper)
+
+    def test_theta_flat_symbol_stays_within_the_budget(self, monkeypatch):
+        # The symbol [[0, e^{-i theta}], [e^{i theta}, 0]] has eigenvalues +-1
+        # at every theta, so no interval ever meets the tolerance.
+        spec = PeriodicBandedSpec(2, 1, {1: [0.0, 1.0], -1: [1.0, 0.0]})
+        solved = []
+
+        def counting(h):
+            solved.append(int(np.prod(np.shape(h)[:-2])))
+            return np.linalg.eigvalsh(h)
+
+        monkeypatch.setattr(ranges.linalg, "lapack", lambda solver, h: (
+            counting(h) if solver is np.linalg.eigvalsh else solver(h)))
+        report = operator_range(spec, phi_count=720)
+        assert sum(solved) == 16 * 360 + REFINE_BUDGET
+        assert np.all(theta_reference(spec, 720, 1024) <= report.upper)
+        assert np.max(report.upper - report.samples[:, 0]) <= 1e-4
+
+    @pytest.mark.parametrize(
+        "spec, phi_count, sizes",
+        [
+            (counterexample_spec(), 720, (3, 10, 40, 124)),
+            (counterexample_spec(), 45, (7, 30)),
+            (random_spec(np.random.default_rng(0), 8, 4), 720, (28, 60, 124)),
+            (random_spec(np.random.default_rng(62), 3, 2), 91, (5, 40)),
+        ],
+    )
+    def test_pruned_inclusion_check_is_the_full_grid_maximum(self, spec, phi_count, sizes):
+        report = operator_range(spec, phi_count=phi_count)
+        for n in sizes:
+            full = _batched_support(truncation(spec, n)[None], phi_count, want_points=False)
+            expected = float(np.max(full[0, :, 0] - report.upper))
+            assert truncation_inclusion_check(spec, n, report) == expected
+            assert expected <= 1e-8
+
+    def test_inclusion_check_needs_certified_bounds(self):
+        doc = operator_range(counterexample_spec(), 4, 8).to_dict()
+        with pytest.raises(ValueError, match="upper bounds"):
+            truncation_inclusion_check(counterexample_spec(), 6, RangeReport.from_dict(doc))
+
+
+def violation_reference(vertices, point) -> float:
+    """Signed distance of one point, one vertex row at a time in (k, 2)
+    arrays: the one-point formula the stacked form must reproduce."""
+    p = np.asarray(point, dtype=float)
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    rel = p[None, :] - vertices
+    squares = np.sum(edges * edges, axis=1)
+    t = np.clip(np.sum(rel * edges, axis=1) / np.maximum(squares, 1e-300), 0, 1)
+    outside = float(np.min(np.hypot(*(rel - t[:, None] * edges).T)))
+    if vertices.shape[0] < 3:
+        return outside
+    cross = edges[:, 0] * rel[:, 1] - edges[:, 1] * rel[:, 0]
+    depth = float(np.max(-cross / np.sqrt(squares)))
+    return outside if depth > 0 else depth
+
+
+class TestGeometryStacks:
+    def test_violation_of_a_stack_equals_pointwise(self):
+        rng = np.random.default_rng(63)
+        points = rng.uniform(-2.0, 2.0, (150, 2))
+        for vertices in ([[0.5, 0.25]], [[0.0, 0.0], [1.0, 1.0]], None):
+            polygon = (
+                convex_hull(rng.standard_normal((40, 2)))
+                if vertices is None
+                else ConvexPolygon(np.array(vertices))
+            )
+            stacked = polygon.violation(points)
+            assert stacked.shape == (150,)
+            pointwise = [polygon.violation(p) for p in points]
+            assert stacked.tolist() == pointwise
+            assert pointwise == [violation_reference(polygon.vertices, p) for p in points]
+            assert polygon.violation(points[:0]).shape == (0,)
+
+    def test_hull_drops_repeated_points_like_unique(self):
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            pts = np.round(rng.standard_normal((60, 2)), 1)
+            pts = np.concatenate([pts, pts[rng.integers(0, 60, 30)]])
+            pts[rng.integers(0, 90, 5)] = [0.0, -0.0]
+            want = convex_hull(np.unique(pts, axis=0))
+            assert np.array_equal(convex_hull(pts).vertices, want.vertices)
