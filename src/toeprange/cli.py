@@ -307,9 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="report-doc")
     p.add_argument("--overlay-thetas", type=int, default=0)
 
-    p = add_command("interval", cmd_interval, "selfadjoint range interval [a, b]",
+    p = add_command("interval", cmd_interval,
+                    "certified outer bounds [a, b] of a selfadjoint range closure",
                     sweep=False)
-    p.add_argument("--theta-count", type=int, default=720)
+    p.add_argument("--theta-count", type=int, default=720,
+                   help="start grid of the certified sweep in theta (default 720)")
 
     p = add_command("verify", cmd_verify, "structural identity checks")
     p.add_argument(

@@ -77,8 +77,25 @@ class TernaryForm:
         return cls(degree=int(doc["degree"]), coefficients=coefficients)
 
 
+def _power(v: float, n: int) -> float:
+    """``v ** n`` as numpy computes it for a float array: it squares for
+    n = 2 and runs its own power loop above, which libm's pow does not
+    always match in the last bit."""
+    if n <= 2:
+        return 1.0 if n == 0 else v if n == 1 else v * v
+    return float(np.asarray(v) ** n)
+
+
 def evaluate_form(form: TernaryForm, t, x, y):
-    """Evaluate a form; broadcasts over array arguments."""
+    """Evaluate a form; broadcasts over array arguments.  Three scalars take
+    a Python-float path with the same operations in the same order, so its
+    value equals the array path's bit for bit."""
+    if all(isinstance(v, (int, float)) for v in (t, x, y)):
+        t, x, y = float(t), float(x), float(y)
+        value = 0.0
+        for (i, j, k), coeff in form.coefficients.items():
+            value = value + coeff * _power(t, i) * _power(x, j) * _power(y, k)
+        return value
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -181,6 +198,10 @@ def ellipse_family() -> ConicFamilyCoefficients:
     )
 
 
+# The built-in family, built once for ``ellipse_family_residual``.
+_ELLIPSE_FAMILY = ellipse_family()
+
+
 def family_discriminant(family: ConicFamilyCoefficients) -> TernaryForm:
     """The quartic form ``alpha^2 + beta^2 - gamma^2``.
 
@@ -210,7 +231,7 @@ def ellipse_family_residual(theta, t):
     """``H(X(t), Y(t); theta)`` for the built-in family; vanishes for every
     (theta, t) because the parametrized ellipse is exactly the conic.
     Broadcasts over array arguments; scalars give a float."""
-    family = ellipse_family()
+    family = _ELLIPSE_FAMILY
     x, y = ellipse_point(theta, t)
     a = evaluate_form(family.alpha, 1.0, x, y)
     b = evaluate_form(family.beta, 1.0, x, y)

@@ -42,27 +42,41 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(m)))
 
 
-def rotated_hermitian_parts(mats, phis) -> np.ndarray:
-    """Hermitian parts (e^{-i phi}A + e^{i phi}A*)/2 of square matrices
-    ``mats`` (..., d, d) at the angles ``phis``, which broadcast against the
-    leading axes of ``mats``: one matrix (d, d) and P angles give (P, d, d),
-    a stack (B, 1, d, d) and P angles every pair (B, P, d, d), and a stack
-    (B, d, d) with B angles one angle per matrix.
+def rotated_hermitian_parts(basis, angles) -> np.ndarray:
+    """Hermitian parts sum_k Re(e^{-i angles[:, k]} B_k), shape (n, d, d), of
+    a basis of K square matrices ``basis`` (K, d, d) at the n rows of
+    ``angles`` (n, K); one matrix (d, d) with angles (n,) is the case K = 1.
+    Here Re(M) = (M + M*)/2 and Im(M) = (M - M*)/(2i), so each term is
+    cos(psi) Re(B_k) + sin(psi) Im(B_k), and the whole stack is one real
+    matrix product of the rows [cos psi_k, sin psi_k] with the real views
+    of [Re B_k; Im B_k].
 
-    Entry (j, k) of each part is exactly the conjugate of entry (k, j); its
-    top eigenvalue is the support function of the numerical range of ``A``
-    in direction ``phi``.
+    The symbol of a periodic banded operator is sum_u A_u e^{iu theta}, so
+    its part in direction phi at theta is this sum over the harmonics A_u
+    at psi_u = phi - u theta.  The top eigenvalue of a part is the support
+    function in direction phi; entry (j, k) of a part is the conjugate of
+    entry (k, j).
     """
-    m = np.asarray(mats, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {m.shape}")
-    phases = np.exp(-1j * np.asarray(phis, dtype=float))
-    rotated = phases[..., None, None] * m
-    # In place, so only two stacks of the result's size are alive at once.
-    parts = np.conj(np.swapaxes(rotated, -1, -2))
-    parts += rotated
-    parts *= 0.5
-    return parts
+    b = np.asarray(basis, dtype=complex)
+    psi = np.asarray(angles, dtype=float)
+    if b.ndim == 2:
+        b, psi = b[None], psi[..., None]
+    if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {b.shape}")
+    k, d, _ = b.shape
+    if psi.ndim != 2 or psi.shape[1] != k:
+        raise ValueError(
+            f"angles of shape {np.shape(angles)} do not fit a basis of shape {np.shape(basis)}"
+        )
+    adjoint = np.conj(np.swapaxes(b, -1, -2))
+    terms = np.stack([0.5 * (b + adjoint), -0.5j * (b - adjoint)], axis=1)
+    rows = np.stack([np.cos(psi), np.sin(psi)], axis=2).reshape(len(psi), 2 * k)
+    # numpy hands a one-row product to gemv, whose rounding differs from
+    # gemm's, so a single row is computed twice to keep each part
+    # independent of its batch.
+    parts = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
+    parts = parts @ terms.reshape(2 * k, d * d).view(float)
+    return parts[: len(rows)].view(complex).reshape(len(rows), d, d)
 
 
 def lapack(solver, *args, **kwargs):

@@ -14,7 +14,8 @@ whose support is within ``SUPPORT_RTOL * (1 + sum_u ||A_u||_F)`` of it.
 The polygon spanned by the boundary points is certified, not estimated: it
 lies inside the closure, and the half-planes under the upper bounds
 enclose the closure, so the largest distance from their corners to the
-polygon bounds the Hausdorff distance between polygon and closure.
+segments between consecutive boundary points bounds the Hausdorff distance
+between polygon and closure.
 
 Direction grids are uniform, ``phi_j = 2*pi*j/P``.  For even ``P`` one
 Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
@@ -58,6 +59,10 @@ SUPPORT_RTOL = 1e-9
 # Bisection stops after this many eigensolves; the bounds of the intervals
 # left then are still bounds, only looser.
 REFINE_BUDGET = 1 << 18
+# The start grid is solved for every stride-th direction pair, the largest
+# stride whose directions lie at most 2 pi / _WEDGE_DIRECTIONS apart; the
+# pairs between are bounded by tangent wedges until they are needed.
+_WEDGE_DIRECTIONS = 90
 # Eigenvalue rounding allowance added to every certified bound, in units of
 # eps * d * (1 + sum ||A_u||_F).
 _ROUNDING_ULPS = 16
@@ -258,22 +263,20 @@ def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
     the bottom eigenvector, so only the directions ``j < P/2`` are solved.
     For odd P every direction is solved."""
     mats = np.asarray(matrices, dtype=complex)
-    b, d, _ = mats.shape
     half = _solved_count(phi_count)
-    phis = np.tile(TAU * np.arange(half) / phi_count, b)
-    owner = np.arange(b * half) // half
-    values, points = _extreme_eigs(lambda rows: mats[owner[rows]], phis, d, want_points)
-    out = np.empty((b, phi_count, 3 if want_points else 1))
+    phis = TAU * np.arange(half) / phi_count
+    out = np.empty((len(mats), phi_count, 3 if want_points else 1))
     # (columns, eigenpair, sign): columns j < half take the top pair; for
     # even P, columns j + half take the bottom pair, negated.
     targets = [(slice(0, half), 1, 1.0)]
     if half < phi_count:
         targets.append((slice(half, phi_count), 0, -1.0))
-    for cols, end, sign in targets:
-        out[:, cols, 0] = sign * values[:, end].reshape(b, half)
-        if want_points:
-            z = points[:, end].reshape(b, half)
-            out[:, cols, 1], out[:, cols, 2] = z.real, z.imag
+    for row, mat in zip(out, mats):
+        values, points = _extreme_eigs(mat, phis, (lambda rows: mat) if want_points else None)
+        for cols, end, sign in targets:
+            row[cols, 0] = sign * values[:, end]
+            if want_points:
+                row[cols, 1], row[cols, 2] = points[:, end].real, points[:, end].imag
     return out
 
 
@@ -283,29 +286,30 @@ def _solved_count(phi_count: int) -> int:
     return phi_count // 2 if phi_count % 2 == 0 else phi_count
 
 
-def _extreme_eigs(matrices, phis: np.ndarray, size: int, want_points: bool = False):
-    """Bottom and top eigenvalues of Re(e^{-i phi_i} M_i), shape (n, 2), for
-    the ``n`` angles ``phis``; with ``want_points`` also the Rayleigh values
-    v* M_i v of the two eigenvectors, complex (n, 2), else None.
+def _extreme_eigs(basis, angles, matrices=None):
+    """Bottom and top eigenvalues, shape (n, 2), of the n rotated Hermitian
+    parts ``rotated_hermitian_parts(basis, angles)``; with ``matrices`` also
+    the Rayleigh values v* M_i v of the two eigenvectors, complex (n, 2),
+    else None.  ``matrices(rows)`` returns the (c, d, d) matrices of an
+    index slice, or one (d, d) matrix shared by all of them.
 
-    ``matrices(rows)`` returns the (c, size, size) matrices of an index
-    slice, or one (size, size) matrix shared by all of them.  The stacks are
-    chunked to ``_CHUNK_ENTRY_BUDGET`` entries."""
-    n = len(phis)
+    The parts are built and solved in chunks of ``_CHUNK_ENTRY_BUDGET``
+    entries."""
+    size = np.shape(basis)[-1]
+    n = len(angles)
     values = np.empty((n, 2))
-    points = np.empty((n, 2), dtype=complex) if want_points else None
+    points = None if matrices is None else np.empty((n, 2), dtype=complex)
     chunk = max(1, _CHUNK_ENTRY_BUDGET // (size * size))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
-        mats = matrices(rows)
-        herm = rotated_hermitian_parts(mats, phis[rows])
-        if want_points:
+        herm = rotated_hermitian_parts(basis, angles[rows])
+        if matrices is None:
+            eigenvalues = linalg.lapack(np.linalg.eigvalsh, herm)
+        else:
             eigenvalues, vectors = linalg.lapack(np.linalg.eigh, herm)
             ends = vectors[..., [0, -1]]
-            mats = np.broadcast_to(mats, herm.shape)
+            mats = np.broadcast_to(matrices(rows), herm.shape)
             points[rows] = np.einsum("cik,cij,cjk->ck", np.conj(ends), mats, ends)
-        else:
-            eigenvalues = linalg.lapack(np.linalg.eigvalsh, herm)
         values[rows] = eigenvalues[:, [0, -1]]
     return values, points
 
@@ -356,60 +360,142 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
     return _table_text(sweep.reshape(-1, 3), theta_count, phi_count)
 
 
-def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, half: int, phis, targets):
-    """Branch and bound in theta for each solved direction ``phis[k]``.
+def _symbol_solve(spec: PeriodicBandedSpec, phis, thetas, want_points: bool = False):
+    """``_extreme_eigs`` of Re(e^{-i phi_i} A(theta_i)) for paired rows of
+    ``phis`` and ``thetas``: the harmonics A_u at psi_u = phi - u theta,
+    and with ``want_points`` the Rayleigh values v* A(theta) v."""
+    harmonics = symbol_harmonics(spec)
+    orders = np.arange(len(harmonics)) - len(harmonics) // 2
+    thetas = np.asarray(thetas, dtype=float)
+    angles = np.asarray(phis, dtype=float)[:, None] - orders * thetas[:, None]
+    symbols = (lambda rows: symbol_batch(spec, thetas[rows])) if want_points else None
+    return _extreme_eigs(harmonics, angles, symbols)
+
+
+def _curvature(harmonics: np.ndarray) -> float:
+    """L2 = sum_u u^2 (||A_u||_2 + ||A_u^2||_2^{1/2}) / 2, which bounds
+    sum_u u^2 w(A_u) by Kittaneh's inequality for the numerical radius w
+    (Studia Math. 158, 2003), inflated by a relative 1e-12 for the rounding
+    of the singular values.  For a square-zero A_u the term is exactly
+    ||A_u||_2 / 2 = w(A_u)."""
+    orders = np.arange(len(harmonics)) - len(harmonics) // 2
+    singular = linalg.lapack(np.linalg.svd, np.concatenate([harmonics, harmonics @ harmonics]))[1]
+    norms, squares = np.split(singular[:, 0], 2)
+    return float(np.sum(orders**2 * 0.5 * (norms + np.sqrt(squares)))) * (1.0 + 1e-12)
+
+
+def _parabola_bound(va, vb, width, curvature: float):
+    """Bound on lambda over an interval of ``width`` from its end values
+    (or bounds on them) ``va`` and ``vb``: the larger end value, or the
+    height where the parabolas va + L2 t^2 / 2 and vb + L2 (width - t)^2 / 2
+    cross.  A constant symbol has L2 = 0 and no interior excess."""
+    cross = 0.0
+    if curvature:
+        cross = np.clip(0.5 * width + (vb - va) / (curvature * width), 0.0, width)
+    return np.maximum(np.maximum(va, vb), va + 0.5 * curvature * cross**2)
+
+
+def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int):
+    """Branch and bound in theta for each solved direction ``phi_k`` of the
+    uniform grid of ``phi_count`` directions.
 
     Target 0 is lambda_max(H_k(theta)) with H_k = Re(e^{-i phi_k} A(theta));
-    target 1, present when ``targets`` is 2, is -lambda_min(H_k(theta)), the
-    support of the antipodal direction.  Returns the best theta and a
+    target 1, present for even ``phi_count``, is -lambda_min(H_k(theta)),
+    the support of the antipodal direction.  Returns the best theta and a
     certified upper bound of each target's maximum over theta, both of
     shape (half, targets).
 
     If theta' is an interior maximizer of lambda on [a, b] with top
     eigenvector v, then g(theta) = v* H(theta) v touches lambda from below at
-    theta', so g'(theta') = 0, and |g''| <= L2 = sum_u u^2 ||A_u||_F.  So
-    lambda(theta') is under both parabolas lambda(a) + L2 (theta' - a)^2 / 2
-    and lambda(b) + L2 (b - theta')^2 / 2, and the maximum over [a, b] is at
-    most the larger end value or the height where the parabolas cross, at
-    most max(lambda(a), lambda(b)) + L2 (b - a)^2 / 8.  No simplicity
-    assumption is needed, and the same holds for -H.
+    theta', so g'(theta') = 0, and |g''| = |sum_u u^2 Re(e^{i(u theta -
+    phi)} v* A_u v)| <= L2 (``_curvature``).  So lambda(theta') is under
+    both parabolas lambda(a) + L2 (theta' - a)^2 / 2 and lambda(b) +
+    L2 (b - theta')^2 / 2 (``_parabola_bound``).  No simplicity assumption is
+    needed, and the same holds for -H.
+
+    The start grid of ``theta_count`` angles is solved for every
+    ``stride``-th pair only.  At each grid angle the other directions are
+    bounded by the tangent wedge of their two nearest solved directions,
+    the bound ``truncation_inclusion_check`` uses; the parabola bounds are
+    monotone in the end values, so they stay bounds.  A pair's best value
+    comes from solved points only: each pair is solved where its wedge
+    bound peaks, and the ends of every interval whose bound still exceeds
+    the best are solved before the bisection.  Finally each target's best
+    theta takes one parabolic step through the two angles around it when it
+    won (grid neighbours or the ends of the bisected interval), kept only
+    where it raises the best value; these solves are charged to
+    ``REFINE_BUDGET``, and skipped when it cannot cover them all.
     """
+    half = _solved_count(phi_count)
+    targets = 2 if half < phi_count else 1
+    phis = TAU * np.arange(half) / phi_count
     harmonics = symbol_harmonics(spec)
-    orders = np.arange(len(harmonics)) - len(harmonics) // 2
-    norms = np.sqrt(np.sum(np.abs(harmonics) ** 2, axis=(1, 2)))
-    scale = 1.0 + float(np.sum(norms))
-    curvature = float(np.sum(orders**2 * norms))
+    scale = 1.0 + float(np.sum(np.sqrt(np.sum(np.abs(harmonics) ** 2, axis=(1, 2)))))
+    curvature = _curvature(harmonics)
     tolerance = SUPPORT_RTOL * scale
+    rounding = _ROUNDING_ULPS * np.finfo(float).eps * spec.period * scale
     signs = np.array([1.0, -1.0])[:targets]
 
     def evaluate(pairs, thetas):
-        values, _ = _extreme_eigs(
-            lambda rows: symbol_batch(spec, thetas[rows]), phis[pairs], spec.period
-        )
+        values, _ = _symbol_solve(spec, phis[pairs], thetas)
         return values[:, ::-1][:, :targets] * signs
 
     grid = TAU * np.arange(theta_count) / theta_count
-    start = evaluate(np.repeat(np.arange(half), theta_count), np.tile(grid, half))
-    start = start.reshape(half, theta_count, targets)
-    best = start.max(axis=1)
-    best_theta = grid[start.argmax(axis=1)]
-    # Interval i of direction k runs from grid[i] to grid[i + 1] (2 pi last).
-    k = np.repeat(np.arange(half), theta_count)
-    a = np.tile(grid, half)
-    b = np.tile(np.append(grid[1:], TAU), half)
-    va = start.reshape(-1, targets)
-    vb = np.roll(start, -1, axis=1).reshape(-1, targets)
-    del start
-    upper = best.copy()
+    ends = np.append(grid[1:], TAU)
+    width = (ends - grid)[:, None]
+    # values[k, i] holds pair k's targets at grid[i]: solved where
+    # ``exact``, elsewhere a wedge bound.
+    values = np.empty((half, theta_count, targets))
+    exact = np.zeros((half, theta_count), dtype=bool)
+    stride = max(1, phi_count // _WEDGE_DIRECTIONS)
+    exact[::stride] = True
+    k, i = np.nonzero(exact)
+    values[k, i] = evaluate(k, grid[i])
+    need = np.zeros_like(exact)
+    if stride > 1:
+        # Direction j of the full circle is pair j % half, target j // half.
+        # The rounding allowance also covers the wedge formula's rounding
+        # and its amplification of the solved values' rounding.
+        done = np.flatnonzero(np.tile(exact[:, 0], targets))
+        supports = np.moveaxis(values, 2, 0).reshape(phi_count, theta_count)
+        open_, wedge, _, _ = _tangent_wedges(supports, done, phi_count)
+        values[open_ % half, :, open_ // half] = wedge + rounding
+        # Each unsolved pair is solved first where its wedge bounds peak.
+        pending = np.flatnonzero(~exact[:, 0])
+        need[pending[:, None], values[pending].argmax(axis=1)] = True
+    while True:
+        k, i = np.nonzero(need)
+        if k.size:
+            values[k, i], exact[k, i] = evaluate(k, grid[i]), True
+        masked = np.where(exact[..., None], values, -np.inf)
+        best, winner = masked.max(axis=1), masked.argmax(axis=1)
+        del masked
+        bound = _parabola_bound(values, np.roll(values, -1, axis=1), width, curvature)
+        live = np.any(bound - best[:, None, :] > tolerance, axis=2)
+        # Both ends of a live interval must be solved before it is split.
+        need = ~exact & (live | np.roll(live, 1, axis=1))
+        if not np.any(need):
+            break
+    best_theta = grid[winner]
+    # Offsets from each target's best theta to the angles around it when it
+    # won, grid neighbours or the ends of the bisected interval, with their
+    # values (NaN where unsolved), for the final parabolic step.
+    rows, cols = np.arange(half)[:, None], np.arange(targets)
+    below, above = (winner - 1) % theta_count, (winner + 1) % theta_count
+    around = np.stack([
+        -width[below, 0], np.where(exact[rows, below], values[rows, below, cols], np.nan),
+        width[winner, 0], np.where(exact[rows, above], values[rows, above, cols], np.nan),
+    ], axis=-1)
+    # Pruned start intervals go straight into the bounds; only live ones
+    # become interval rows.
+    upper = np.maximum(best, np.max(np.where(live[..., None], -np.inf, bound), axis=1))
+    k, i = np.nonzero(live)
+    a, b = grid[i], ends[i]
+    va, vb = values[k, i], values[k, (i + 1) % theta_count]
+    del values, bound
     budget = REFINE_BUDGET
     while k.size:
-        # The parabolas cross at ``cross`` from a (a constant symbol has
-        # L2 = 0 and no interior excess).
-        width = (b - a)[:, None]
-        cross = 0.0
-        if curvature:
-            cross = np.clip(0.5 * width + (vb - va) / (curvature * width), 0.0, width)
-        bound = np.maximum(np.maximum(va, vb), va + 0.5 * curvature * cross**2)
+        bound = _parabola_bound(va, vb, (b - a)[:, None], curvature)
         gain = np.max(bound - best[k], axis=1)
         split = gain > tolerance
         if np.count_nonzero(split) > budget:
@@ -429,12 +515,48 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, half: int, phi
             np.maximum.at(top, k, vm[:, t])
             won = (vm[:, t] == top[k]) & (top[k] > best[k, t])
             best_theta[k[won], t] = mid[won]
+            around[k[won], t] = np.column_stack([a - mid, va[:, t], b - mid, vb[:, t]])[won]
             best[:, t] = np.maximum(best[:, t], top)
         k = np.concatenate([k, k])
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-    rounding = _ROUNDING_ULPS * np.finfo(float).eps * spec.period * scale
+    # The vertex of the parabola through the best value and its two solved
+    # neighbours, best + beta h + gamma h^2; it is concave (gamma < 0)
+    # unless all three values are equal.
+    pairs, t = np.nonzero(~np.isnan(around[..., 1] + around[..., 3]))
+    h0, f0, h1, f1 = around[pairs, t].T
+    slope0, slope1 = (f0 - best[pairs, t]) / h0, (f1 - best[pairs, t]) / h1
+    gamma = (slope1 - slope0) / (h1 - h0)
+    concave = gamma < 0
+    pairs, t, h0, h1, slope1, gamma = (v[concave] for v in (pairs, t, h0, h1, slope1, gamma))
+    if 0 < pairs.size <= budget:
+        theta = best_theta[pairs, t] + np.clip((gamma * h1 - slope1) / (2.0 * gamma), h0, h1)
+        better = evaluate(pairs, theta)[np.arange(pairs.size), t] > best[pairs, t]
+        best_theta[pairs[better], t[better]] = theta[better]
     return best_theta, upper + rounding
+
+
+def _tangent_wedges(supports: np.ndarray, done: np.ndarray, phi_count: int):
+    """Bounds on the supports of the directions of the uniform grid that are
+    not in the sorted array ``done``, from the solved supports along the
+    first axis of ``supports``.  Direction j's support is at most the
+    tangent wedge of its nearest solved directions a < j < b (cyclically),
+    (h_a sin(b - j) + h_b sin(j - a)) / sin(b - a).  Wedges are used only
+    for gaps of at most pi/2, where the rounding of the two solved supports
+    is amplified at most sqrt(2) times; wider gaps get inf.  Returns the
+    open directions, their bounds, and each one's a and gap b - a."""
+    open_ = np.setdiff1d(np.arange(phi_count), done)
+    after = np.searchsorted(done, open_)
+    a, b = done[after - 1], done[after % done.size]
+    da, db = (open_ - a) % phi_count, (b - open_) % phi_count
+    gap = da + db
+    column = (-1,) + (1,) * (supports.ndim - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wedge = (supports[a] * np.sin(TAU * db / phi_count).reshape(column)
+                 + supports[b] * np.sin(TAU * da / phi_count).reshape(column)
+                 ) / np.sin(TAU * gap / phi_count).reshape(column)
+    wedge[4 * gap > phi_count] = np.inf
+    return open_, wedge, a, gap
 
 
 def operator_range(
@@ -443,31 +565,28 @@ def operator_range(
     """Certified range closure over the uniform direction grid.
 
     Each direction's support over ``theta`` is bounded by branch and bound
-    from a uniform start grid of ``theta_count`` angles; one ``eigh`` at the
-    direction's best ``theta`` then gives its boundary point.  The polygon
-    is their convex hull.  ``residual_summary`` holds
+    from a start grid of ``theta_count`` angles (``_certified_maxima``); one
+    ``eigh`` at the direction's best ``theta`` then gives its boundary
+    point.  The polygon is their convex hull.  ``residual_summary`` holds
     ``support_attainment_gap`` (largest support minus the boundary point's
     projection), ``support_tol`` (largest upper bound minus support) and
     ``certified_gap``, an upper bound on the Hausdorff distance between the
     polygon and the closure: the closure lies in the intersection of the
     half-planes <z, n_j> <= upper_j, which lies in the hull of the corners
     where consecutive lines meet (a normal between n_j and n_{j+1} is a
-    nonnegative combination of the two), so the corners' largest distance
-    to the polygon bounds every point's."""
+    nonnegative combination of the two).  The boundary points p_j and
+    p_{j+1} lie in the polygon, so the largest distance from corner j to
+    the segment [p_j, p_{j+1}] bounds every point's distance."""
     _check_counts(theta_count, phi_count)
     _check_sweep_size(spec.period, theta_count, phi_count)
     half = _solved_count(phi_count)
-    targets = 2 if half < phi_count else 1
-    phis = TAU * np.arange(half) / phi_count
-    best_theta, upper = _certified_maxima(spec, theta_count, half, phis, targets)
+    best_theta, upper = _certified_maxima(spec, theta_count, phi_count)
 
     # One eigh per direction at its best theta: direction j < half takes
     # the top eigenpair of pair j, direction j + half the bottom one.
-    pairs = np.tile(np.arange(half), targets)
-    thetas = best_theta.T.ravel()
-    values, points = _extreme_eigs(
-        lambda rows: symbol_batch(spec, thetas[rows]), phis[pairs], spec.period,
-        want_points=True,
+    pairs = np.tile(np.arange(half), upper.shape[1])
+    values, points = _symbol_solve(
+        spec, TAU * pairs / phi_count, best_theta.T.ravel(), want_points=True
     )
     top = np.arange(phi_count) < half
     point = np.where(top, points[:, 1], points[:, 0])
@@ -481,6 +600,10 @@ def operator_range(
     c1, s1, u1 = np.roll(c, -1), np.roll(s, -1), np.roll(upper, -1)
     det = c * s1 - s * c1
     corners = np.column_stack([(upper * s1 - s * u1) / det, (c * u1 - upper * c1) / det])
+    edges = np.roll(samples[:, 1:], -1, axis=0) - samples[:, 1:]
+    offsets = corners - samples[:, 1:]
+    t = np.sum(offsets * edges, axis=1) / np.maximum(np.sum(edges * edges, axis=1), 1e-300)
+    offsets -= np.clip(t, 0.0, 1.0)[:, None] * edges
     return RangeReport(
         polygon=polygon,
         samples=samples,
@@ -489,7 +612,7 @@ def operator_range(
         residual_summary={
             "support_attainment_gap": float(np.max(support - (point.real * c + point.imag * s))),
             "support_tol": float(np.max(upper - support)),
-            "certified_gap": float(np.max(polygon.violation(corners))),
+            "certified_gap": float(np.max(np.hypot(offsets[:, 0], offsets[:, 1]))),
         },
         upper=upper,
     )
@@ -498,17 +621,17 @@ def operator_range(
 def selfadjoint_interval(
     spec: PeriodicBandedSpec, theta_count: int = 720
 ) -> tuple[float, float]:
-    """Endpoints [a, b] of the range closure of a selfadjoint operator:
-    extreme eigenvalues of the symbol over a uniform ``theta`` grid, read
-    off the supports in the directions 0 and pi."""
+    """Outer bounds [a, b] on the range closure of a selfadjoint operator:
+    its certified supports in the directions pi and 0 (``_certified_maxima``
+    from a start grid of ``theta_count`` angles), which bound the symbol's
+    extreme eigenvalues over every theta."""
     if theta_count < 1:
         raise ValueError("theta_count must be >= 1")
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
     _check_sweep_size(spec.period, theta_count, 0)
-    thetas = TAU * np.arange(theta_count) / theta_count
-    supports = _batched_support(symbol_batch(spec, thetas), 2, want_points=False)
-    return -float(np.max(supports[:, 1, 0])), float(np.max(supports[:, 0, 0]))
+    _, upper = _certified_maxima(spec, theta_count, 2)
+    return -float(upper[0, 1]), float(upper[0, 0])
 
 
 def truncation_inclusion_check(
@@ -523,9 +646,7 @@ def truncation_inclusion_check(
     wedge their tangent lines form, so the directions between them are
     solved (by bisection of the gap) only while some wedge bound minus
     ``upper_j`` reaches the best excess found, less a rounding margin; the
-    result equals the maximum over every direction.  Wedges are used only
-    for gaps of at most pi/2, where the rounding of the two solved supports
-    is amplified at most sqrt(2) times.
+    result equals the maximum over every direction.
     """
     phi_count = report.phi_count
     upper = np.asarray(report.upper, dtype=float)
@@ -538,23 +659,14 @@ def truncation_inclusion_check(
     solved = np.zeros(phi_count, dtype=bool)
     new = np.arange(0, half, 8)
     while True:
-        values, _ = _extreme_eigs(lambda rows: t_n, TAU * new / phi_count, n_rows)
+        values, _ = _extreme_eigs(t_n, TAU * new / phi_count)
         supports[new], solved[new] = values[:, 1], True
         if half < phi_count:
             supports[new + half], solved[new + half] = -values[:, 0], True
         best = float(np.max(supports[solved] - upper[solved]))
-        done, open_ = np.flatnonzero(solved), np.flatnonzero(~solved)
+        open_, wedge, a, gap = _tangent_wedges(supports, np.flatnonzero(solved), phi_count)
         if not open_.size:
             return best
-        # Solved neighbours a < j < b (cyclically) of each open direction j.
-        after = np.searchsorted(done, open_)
-        a, b = done[after - 1], done[after % done.size]
-        da, db = (open_ - a) % phi_count, (b - open_) % phi_count
-        gap = da + db
-        with np.errstate(divide="ignore", invalid="ignore"):
-            wedge = (supports[a] * np.sin(TAU * db / phi_count)
-                     + supports[b] * np.sin(TAU * da / phi_count)) / np.sin(TAU * gap / phi_count)
-        wedge = np.where(4 * gap <= phi_count, wedge, np.inf)
         reach = wedge - upper[open_] >= best - margin
         if not np.any(reach):
             return best

@@ -378,6 +378,12 @@ class TestCounterexample:
         fine, _ = cli.counterexample_doc(theta_count=360, phi_count=360, direction_count=16)
         assert fine["quartic_residual_max"] < coarse["quartic_residual_max"]
 
+    def test_polished_boundary_points_meet_the_quartic(self):
+        # The default 16 x 720 grid: each boundary point comes from a
+        # polished maximizer, so it lies on the quartic to 1e-9.
+        doc, _ = cli.counterexample_doc(theta_count=16, phi_count=720, direction_count=16)
+        assert doc["quartic_residual_max"] <= 1e-9
+
 
 class TestPlot:
     def test_default_overlays(self, tmp_path):

@@ -125,6 +125,22 @@ class TestBroadcasting:
                                       form_gradient(form, t[idx], x[idx], y[idx]))
 
 
+    def test_scalar_path_equals_the_array_path_bitwise(self):
+        # Python floats, numpy scalars and ints take the float path; every
+        # degree, so squares and the higher powers are both exercised.
+        rng = np.random.default_rng(45)
+        forms = [random_form(rng, degree) for degree in range(1, 6)]
+        forms += [boundary_quartic(), dual_quartic()]
+        t, x, y = rng.uniform(-3.0, 3.0, (3, 40))
+        for form in forms:
+            batch = evaluate_form(form, t, x, y)
+            for i in range(40):
+                scalar = evaluate_form(form, float(t[i]), x[i], float(y[i]))
+                assert isinstance(scalar, float)
+                assert scalar == batch[i]
+            assert evaluate_form(form, 1, 2, -1) == evaluate_form(form, [1.0], [2.0], [-1.0])[0]
+
+
 class TestBoundaryQuartic:
     def test_coefficients(self):
         form = boundary_quartic()

@@ -14,6 +14,7 @@ from toeprange.linalg import (
     max_norm,
     rotated_hermitian_parts,
 )
+from toeprange.operators import random_spec, symbol_batch, symbol_harmonics
 from toeprange.ranges import _batched_support
 
 
@@ -24,7 +25,8 @@ class TestAsMatrix:
 
 
 class TestRotatedHermitianPart:
-    """``rotated_hermitian_parts``: one part per matrix and angle."""
+    """``rotated_hermitian_parts``: one part per row of angles, summed over
+    the basis matrices."""
 
     def test_identity_any_angle(self):
         phis = [0.0, 0.3, math.pi, -2.0]
@@ -47,31 +49,59 @@ class TestRotatedHermitianPart:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((20, 4, 4)) + 1j * rng.standard_normal((20, 4, 4))
         phis = rng.uniform(-10, 10, 7)
-        h = rotated_hermitian_parts(a[:, None], phis)
-        assert h.shape == (20, 7, 4, 4)
+        for matrix in a:
+            h = rotated_hermitian_parts(matrix, phis)
+            assert h.shape == (7, 4, 4)
+            assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+        # A basis of 20 matrices, one angle per matrix in each of 7 rows.
+        h = rotated_hermitian_parts(a, rng.uniform(-10, 10, (7, 20)))
+        assert h.shape == (7, 4, 4)
         assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
 
     def test_stacks_over_matrices_and_angles(self):
-        # Part (i, j) is the part of matrix i alone at angle j, bit for bit.
+        # Part j of one matrix is the part at angle j alone, and the part
+        # from any sub-batch of the angles, bit for bit.
         rng = np.random.default_rng(8)
         a = rng.standard_normal((2, 3, 5, 5)) + 1j * rng.standard_normal((2, 3, 5, 5))
-        phis = rng.uniform(0.0, 2 * math.pi, 4)
-        stacked = rotated_hermitian_parts(a[..., None, :, :], phis)
-        assert stacked.shape == (2, 3, 4, 5, 5)
+        phis = rng.uniform(0.0, 2 * math.pi, 7)
         for i in np.ndindex(2, 3):
+            stacked = rotated_hermitian_parts(a[i], phis)
+            assert stacked.shape == (7, 5, 5)
             for j, phi in enumerate(phis):
-                assert np.array_equal(stacked[i][j], rotated_hermitian_parts(a[i], [phi])[0])
+                assert np.array_equal(stacked[j], rotated_hermitian_parts(a[i], [phi])[0])
+            for start in range(0, 7, 3):
+                part = rotated_hermitian_parts(a[i], phis[start : start + 3])
+                assert np.array_equal(part, stacked[start : start + 3])
 
     def test_one_angle_per_matrix(self):
-        # Angles broadcast against the leading axes: part i is matrix i at
-        # angle i, bit for bit.
+        # Row r is sum_k Re(e^{-i angles[r, k]} B_k): the sum of each
+        # matrix's own part at its angle, up to the rounding of the sum.
         rng = np.random.default_rng(9)
         a = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
-        phis = rng.uniform(0.0, 2 * math.pi, 6)
-        zipped = rotated_hermitian_parts(a, phis)
-        assert zipped.shape == (6, 3, 3)
-        for i, phi in enumerate(phis):
-            assert np.array_equal(zipped[i], rotated_hermitian_parts(a[i], [phi])[0])
+        angles = rng.uniform(0.0, 2 * math.pi, (4, 6))
+        summed = rotated_hermitian_parts(a, angles)
+        assert summed.shape == (4, 3, 3)
+        for r in range(4):
+            parts = [rotated_hermitian_parts(a[k], angles[r, k : k + 1])[0] for k in range(6)]
+            assert max_norm(summed[r] - sum(parts)) <= 1e-14 * (1.0 + max_norm(a)) * 6
+
+    def test_harmonics_at_shifted_angles_give_the_symbol_part(self):
+        # Re(e^{-i phi} A(theta)) from the harmonics A_u at phi - u theta.
+        spec = random_spec(np.random.default_rng(10), 4, 6)
+        harmonics = symbol_harmonics(spec)
+        orders = np.arange(len(harmonics)) - len(harmonics) // 2
+        rng = np.random.default_rng(11)
+        thetas, phis = rng.uniform(0.0, 2 * math.pi, (2, 9))
+        got = rotated_hermitian_parts(harmonics, phis[:, None] - orders * thetas[:, None])
+        for part, phi, matrix in zip(got, phis, symbol_batch(spec, thetas)):
+            rotated = np.exp(-1j * phi) * matrix
+            want = 0.5 * (rotated + rotated.conj().T)
+            assert max_norm(part - want) <= 1e-14 * (1.0 + np.sum(np.abs(harmonics)))
+
+    def test_rejects_mismatched_angles(self):
+        for angles in ([0.0, 1.0], np.zeros((2, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="angles"):
+                rotated_hermitian_parts(np.ones((2, 2, 2)), angles)
 
     def test_rejects_nonsquare(self):
         for shape in ((2, 3), (4, 2, 3), (3,)):

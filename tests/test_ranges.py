@@ -30,6 +30,7 @@ from toeprange.ranges import (
     RangeReport,
     _batched_support,
     _check_sweep_size,
+    _curvature,
     _table_text,
     convex_hull,
     flat_table,
@@ -72,8 +73,11 @@ def reference_table(samples, theta_count, phi_count) -> str:
 
 
 def theta_reference(spec, phi_count, theta_count=4096):
-    """Largest support over a fine uniform theta grid, per direction."""
-    return uniform_sweep(spec, theta_count, phi_count)[:, 0].reshape(theta_count, -1).max(axis=0)
+    """Largest support over a fine uniform theta grid, per direction, from
+    eigenvalues alone."""
+    thetas = TAU * np.arange(theta_count) / theta_count
+    sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=False)
+    return sweep[..., 0].max(axis=0)
 
 
 def band_width(spec) -> float:
@@ -494,7 +498,9 @@ class TestSelfadjointInterval:
 
     def test_scalar(self):
         spec = PeriodicBandedSpec(period=1, band=0, diagonals={0: [0.7]})
-        assert selfadjoint_interval(spec, 16) == (0.7, 0.7)
+        # Outer bounds: the constant symbol plus the rounding allowance.
+        a, b = selfadjoint_interval(spec, 16)
+        assert a <= 0.7 <= b and b - a <= 1e-13
 
     def test_diagonal_period_two(self):
         spec = PeriodicBandedSpec(period=2, band=1, diagonals={0: [-0.5, 2.0]})
@@ -505,6 +511,21 @@ class TestSelfadjointInterval:
     def test_rejects_non_selfadjoint(self):
         with pytest.raises(SpecError):
             selfadjoint_interval(counterexample_spec(), 16)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            load_spec(SELFADJOINT_PERIOD3),
+            free_jacobi_spec(),
+            random_spec(np.random.default_rng(71), 4, 3, selfadjoint=True),
+        ],
+    )
+    def test_outer_bounds_contain_a_fine_reference(self, spec):
+        a, b = selfadjoint_interval(spec, 16)
+        thetas = TAU * np.arange(20_000) / 20_000
+        values = np.linalg.eigvalsh(symbol_batch(spec, thetas))
+        assert a <= values[:, 0].min() and values[:, -1].max() <= b
+        assert values[:, 0].min() - a <= 1e-8 and b - values[:, -1].max() <= 1e-8
 
     def test_chunked_solve_gives_equal_endpoints(self, monkeypatch):
         rng = np.random.default_rng(37)
@@ -604,6 +625,24 @@ class TestRangeReport:
         with pytest.raises(ValueError, match="cap"):
             flat_table(counterexample_spec(), 2, 10**13)
 
+    def test_certified_gap_bounds_the_corner_distance(self):
+        # Corner j is where the lines of directions j and j + 1 meet; the
+        # reported gap, its distance to the segment between their boundary
+        # points, is at least its exact distance to the polygon.
+        cases = [(counterexample_spec(), 16, 720), (load_spec(SELFADJOINT_PERIOD3), 16, 91),
+                 (random_spec(np.random.default_rng(72), 8, 4), 16, 360)]
+        for spec, theta_count, phi_count in cases:
+            report = operator_range(spec, theta_count, phi_count)
+            angles = TAU * np.arange(phi_count) / phi_count
+            n0 = np.column_stack([np.cos(angles), np.sin(angles)])
+            n1 = np.roll(n0, -1, axis=0)
+            rhs = np.column_stack([report.upper, np.roll(report.upper, -1)])
+            corners = np.linalg.solve(np.stack([n0, n1], axis=1), rhs[..., None])[..., 0]
+            exact = float(np.max(report.polygon.violation(corners)))
+            gap = report.residual_summary["certified_gap"]
+            assert gap >= exact - 1e-12
+            assert gap <= exact + 1e-6
+
     def test_support_attainment_residual(self):
         report = operator_range(counterexample_spec(), 30, 30)
         assert report.residual_summary["support_attainment_gap"] <= 1e-9
@@ -618,6 +657,47 @@ def fejer_spec(peak: float, order: int = 24) -> PeriodicBandedSpec:
         for r in range(-order, order + 1)
     }
     return PeriodicBandedSpec(1, order, diagonals)
+
+
+def rotated(spec: PeriodicBandedSpec, angle: float) -> PeriodicBandedSpec:
+    """The spec times e^{i angle}: its range turned by ``angle``."""
+    diagonals = {r: np.exp(1j * angle) * seq for r, seq in spec.diagonals.items()}
+    return PeriodicBandedSpec(spec.period, spec.band, diagonals)
+
+
+class TestCurvature:
+    def test_bounds_sampled_second_derivatives(self):
+        # g(theta) = v* Re(e^{-i phi} A(theta)) v has g'' = -sum_u u^2
+        # Re(e^{i(u theta - phi)} v* A_u v), for any unit vector v.
+        rng = np.random.default_rng(70)
+        for spec in (counterexample_spec(), random_spec(rng, 3, 4), random_spec(rng, 5, 2)):
+            harmonics = symbol_harmonics(spec)
+            orders = np.arange(len(harmonics)) - len(harmonics) // 2
+            bound = _curvature(harmonics)
+            worst = 0.0
+            for _ in range(400):
+                v = random_unit_vector(rng, spec.period)
+                theta, phi = rng.uniform(0.0, TAU, 2)
+                rayleigh = np.einsum("i,uij,j->u", np.conj(v), harmonics, v)
+                second = np.sum(orders**2 * np.exp(1j * (orders * theta - phi)) * rayleigh).real
+                worst = max(worst, abs(second))
+            assert worst <= bound
+            # Within a factor two of the sampled worst case.
+            assert bound <= 2.0 * worst + 1e-12
+
+    def test_square_zero_harmonic_gives_its_numerical_radius(self):
+        # A_1 = [[0, 0], [3, 0]] squares to zero; its numerical radius is 3/2.
+        spec = PeriodicBandedSpec(2, 1, {1: [0.0, 3.0]})
+        harmonics = symbol_harmonics(spec)
+        assert np.count_nonzero(np.any(harmonics != 0, axis=(1, 2))) == 1
+        norm = np.linalg.norm(harmonics[2], 2)
+        assert norm == pytest.approx(3.0, rel=1e-15)
+        assert _curvature(harmonics) == pytest.approx(norm / 2, rel=2e-12)
+        assert _curvature(harmonics) >= norm / 2
+
+    def test_constant_symbol_has_no_curvature(self):
+        spec = PeriodicBandedSpec(2, 1, {0: [1.0, 2j], 1: [0.5, 0.0]})
+        assert _curvature(symbol_harmonics(spec)) == 0.0
 
 
 class TestCertifiedSupports:
@@ -683,6 +763,46 @@ class TestCertifiedSupports:
             expected = float(np.max(full[0, :, 0] - report.upper))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
+
+    def test_wedge_start_grid_halves_the_solves(self, monkeypatch):
+        # At P = 720 every 8th direction pair is solved on the 90-angle start
+        # grid; the grid and the tighter curvature constant took the seed-0
+        # spec from 70,952 eigvalsh solves to about 32,000.
+        solved, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(h):
+            solved.append(int(np.prod(np.shape(h)[:-2])))
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        report = operator_range(random_spec(np.random.default_rng(0), 8, 4), 90, 720)
+        assert sum(solved) <= 35_000
+        assert report.upper.shape == (720,)
+
+    @pytest.mark.parametrize(
+        "spec, phi_count, theta_count, within_budget",
+        [
+            (counterexample_spec(), 720, 4096, True),
+            (random_spec(np.random.default_rng(0), 8, 4), 180, 1024, True),
+            # The peak value 25 sits between two start angles, in direction
+            # 3 of 360, a pair the start grid bounds by wedges only.  The
+            # sharp peak uses up REFINE_BUDGET, so bounds stay looser.
+            (rotated(fejer_spec(TAU * 0.5 / 16), TAU * 3 / 360), 360, 4096, False),
+        ],
+    )
+    def test_wedge_bounds_stay_above_a_fine_theta_reference(
+        self, spec, phi_count, theta_count, within_budget
+    ):
+        report = operator_range(spec, phi_count=phi_count)
+        assert np.all(theta_reference(spec, phi_count, theta_count) <= report.upper)
+        if within_budget:
+            assert np.all(report.upper - report.samples[:, 0] <= band_width(spec))
+
+    def test_peak_in_a_wedge_direction_is_found(self):
+        spec = rotated(fejer_spec(TAU * 0.5 / 16), TAU * 3 / 360)
+        report = operator_range(spec, phi_count=360)
+        assert report.upper[3] >= 25.0
+        assert report.samples[3, 0] >= 25.0 - band_width(spec)
 
     def test_inclusion_check_needs_certified_bounds(self):
         doc = operator_range(counterexample_spec(), 4, 8).to_dict()
