@@ -149,7 +149,9 @@ class RangeReport:
     Row ``j`` of ``samples`` (phi_count, 3) holds direction ``phi_j``'s
     columns (support value, x, y): the support of the boundary point (x, y)
     found at the direction's best ``theta``, a lower bound on the closure's
-    support.  ``upper`` (phi_count,) holds the certified upper bounds."""
+    support.  ``upper`` (phi_count,) holds the certified upper bounds, which
+    the sweep refined to within ``support_rtol * (1 + sum_u ||A_u||_F)`` of
+    the supports where ``REFINE_BUDGET`` allowed."""
 
     polygon: ConvexPolygon
     samples: np.ndarray
@@ -157,6 +159,7 @@ class RangeReport:
     phi_count: int
     residual_summary: dict[str, float] = field(default_factory=dict)
     upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    support_rtol: float = SUPPORT_RTOL
 
     def to_dict(self) -> dict:
         """The range document: grid sizes, residuals and the polygon.  The
@@ -311,6 +314,8 @@ def _extreme_eigs(basis, angles, matrices=None):
             mats = np.broadcast_to(matrices(rows), herm.shape)
             points[rows] = np.einsum("cik,cij,cjk->ck", np.conj(ends), mats, ends)
         values[rows] = eigenvalues[:, [0, -1]]
+        # Free this chunk's stacks before the next chunk's are built.
+        herm = vectors = None
     return values, points
 
 
@@ -360,16 +365,23 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
     return _table_text(sweep.reshape(-1, 3), theta_count, phi_count)
 
 
-def _symbol_solve(spec: PeriodicBandedSpec, phis, thetas, want_points: bool = False):
+def _symbol_solve(spec: PeriodicBandedSpec, harmonics, phis, thetas, want_points=False):
     """``_extreme_eigs`` of Re(e^{-i phi_i} A(theta_i)) for paired rows of
-    ``phis`` and ``thetas``: the harmonics A_u at psi_u = phi - u theta,
-    and with ``want_points`` the Rayleigh values v* A(theta) v."""
-    harmonics = symbol_harmonics(spec)
+    ``phis`` and ``thetas``: the spec's ``harmonics`` A_u at psi_u = phi -
+    u theta, and with ``want_points`` the Rayleigh values v* A(theta) v."""
     orders = np.arange(len(harmonics)) - len(harmonics) // 2
     thetas = np.asarray(thetas, dtype=float)
     angles = np.asarray(phis, dtype=float)[:, None] - orders * thetas[:, None]
     symbols = (lambda rows: symbol_batch(spec, thetas[rows])) if want_points else None
     return _extreme_eigs(harmonics, angles, symbols)
+
+
+def _allowances(harmonics: np.ndarray, rtol: float) -> tuple[float, float]:
+    """The certified sweep's refinement tolerance ``rtol * scale`` and its
+    eigenvalue rounding allowance ``_ROUNDING_ULPS * eps * d * scale`` for
+    the (K, d, d) ``harmonics``, where scale = 1 + sum_u ||A_u||_F."""
+    scale = 1.0 + float(np.sum(np.sqrt(np.sum(np.abs(harmonics) ** 2, axis=(1, 2)))))
+    return rtol * scale, _ROUNDING_ULPS * np.finfo(float).eps * harmonics.shape[-1] * scale
 
 
 def _curvature(harmonics: np.ndarray) -> float:
@@ -395,15 +407,20 @@ def _parabola_bound(va, vb, width, curvature: float):
     return np.maximum(np.maximum(va, vb), va + 0.5 * curvature * cross**2)
 
 
-def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int):
+def _certified_maxima(
+    spec: PeriodicBandedSpec, theta_count: int, phi_count: int, pairs=None,
+    rtol: float = SUPPORT_RTOL,
+):
     """Branch and bound in theta for each solved direction ``phi_k`` of the
-    uniform grid of ``phi_count`` directions.
+    uniform grid of ``phi_count`` directions, or for the solved directions
+    ``pairs`` alone (indices k < ``_solved_count(phi_count)``), until every
+    bound is within ``rtol * (1 + sum_u ||A_u||_F)`` of its best value.
 
     Target 0 is lambda_max(H_k(theta)) with H_k = Re(e^{-i phi_k} A(theta));
     target 1, present for even ``phi_count``, is -lambda_min(H_k(theta)),
     the support of the antipodal direction.  Returns the best theta and a
     certified upper bound of each target's maximum over theta, both of
-    shape (half, targets).
+    shape (len(pairs), targets).
 
     If theta' is an interior maximizer of lambda on [a, b] with top
     eigenvector v, then g(theta) = v* H(theta) v touches lambda from below at
@@ -413,11 +430,11 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
     L2 (b - theta')^2 / 2 (``_parabola_bound``).  No simplicity assumption is
     needed, and the same holds for -H.
 
-    The start grid of ``theta_count`` angles is solved for every
-    ``stride``-th pair only.  At each grid angle the other directions are
-    bounded by the tangent wedge of their two nearest solved directions,
-    the bound ``truncation_inclusion_check`` uses; the parabola bounds are
-    monotone in the end values, so they stay bounds.  A pair's best value
+    On the full circle the start grid of ``theta_count`` angles is solved
+    for every ``stride``-th pair only.  At each grid angle the other
+    directions are bounded by the tangent wedge of their two nearest solved
+    directions, the bound ``truncation_inclusion_check`` uses; the parabola
+    bounds are monotone in the end values, so they stay bounds.  A pair's best value
     comes from solved points only: each pair is solved where its wedge
     bound peaks, and the ends of every interval whose bound still exceeds
     the best are solved before the bisection.  Finally each target's best
@@ -425,19 +442,24 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
     won (grid neighbours or the ends of the bisected interval), kept only
     where it raises the best value; these solves are charged to
     ``REFINE_BUDGET``, and skipped when it cannot cover them all.
+
+    Requested ``pairs`` are each solved on the whole start grid, so while
+    the budget binds none of them, a pair's results do not depend on which
+    other pairs were requested.
     """
     half = _solved_count(phi_count)
     targets = 2 if half < phi_count else 1
-    phis = TAU * np.arange(half) / phi_count
+    stride = max(1, phi_count // _WEDGE_DIRECTIONS) if pairs is None else 1
+    pairs = np.arange(half) if pairs is None else np.asarray(pairs, dtype=int)
+    count = pairs.size
+    phis = TAU * pairs / phi_count
     harmonics = symbol_harmonics(spec)
-    scale = 1.0 + float(np.sum(np.sqrt(np.sum(np.abs(harmonics) ** 2, axis=(1, 2)))))
     curvature = _curvature(harmonics)
-    tolerance = SUPPORT_RTOL * scale
-    rounding = _ROUNDING_ULPS * np.finfo(float).eps * spec.period * scale
+    tolerance, rounding = _allowances(harmonics, rtol)
     signs = np.array([1.0, -1.0])[:targets]
 
-    def evaluate(pairs, thetas):
-        values, _ = _symbol_solve(spec, phis[pairs], thetas)
+    def evaluate(rows, thetas):
+        values, _ = _symbol_solve(spec, harmonics, phis[rows], thetas)
         return values[:, ::-1][:, :targets] * signs
 
     grid = TAU * np.arange(theta_count) / theta_count
@@ -445,9 +467,8 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
     width = (ends - grid)[:, None]
     # values[k, i] holds pair k's targets at grid[i]: solved where
     # ``exact``, elsewhere a wedge bound.
-    values = np.empty((half, theta_count, targets))
-    exact = np.zeros((half, theta_count), dtype=bool)
-    stride = max(1, phi_count // _WEDGE_DIRECTIONS)
+    values = np.empty((count, theta_count, targets))
+    exact = np.zeros((count, theta_count), dtype=bool)
     exact[::stride] = True
     k, i = np.nonzero(exact)
     values[k, i] = evaluate(k, grid[i])
@@ -456,9 +477,8 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
         # Direction j of the full circle is pair j % half, target j // half.
         # The rounding allowance also covers the wedge formula's rounding
         # and its amplification of the solved values' rounding.
-        done = np.flatnonzero(np.tile(exact[:, 0], targets))
         supports = np.moveaxis(values, 2, 0).reshape(phi_count, theta_count)
-        open_, wedge, _, _ = _tangent_wedges(supports, done, phi_count)
+        open_, wedge, _, _ = _tangent_wedges(supports, np.tile(exact[:, 0], targets))
         values[open_ % half, :, open_ // half] = wedge + rounding
         # Each unsolved pair is solved first where its wedge bounds peak.
         pending = np.flatnonzero(~exact[:, 0])
@@ -480,7 +500,7 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
     # Offsets from each target's best theta to the angles around it when it
     # won, grid neighbours or the ends of the bisected interval, with their
     # values (NaN where unsolved), for the final parabolic step.
-    rows, cols = np.arange(half)[:, None], np.arange(targets)
+    rows, cols = np.arange(count)[:, None], np.arange(targets)
     below, above = (winner - 1) % theta_count, (winner + 1) % theta_count
     around = np.stack([
         -width[below, 0], np.where(exact[rows, below], values[rows, below, cols], np.nan),
@@ -511,7 +531,7 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
         mid = 0.5 * (a + b)
         vm = evaluate(k, mid)
         for t in range(targets):
-            top = np.full(half, -np.inf)
+            top = np.full(count, -np.inf)
             np.maximum.at(top, k, vm[:, t])
             won = (vm[:, t] == top[k]) & (top[k] > best[k, t])
             best_theta[k[won], t] = mid[won]
@@ -523,29 +543,31 @@ def _certified_maxima(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
     # The vertex of the parabola through the best value and its two solved
     # neighbours, best + beta h + gamma h^2; it is concave (gamma < 0)
     # unless all three values are equal.
-    pairs, t = np.nonzero(~np.isnan(around[..., 1] + around[..., 3]))
-    h0, f0, h1, f1 = around[pairs, t].T
-    slope0, slope1 = (f0 - best[pairs, t]) / h0, (f1 - best[pairs, t]) / h1
+    k, t = np.nonzero(~np.isnan(around[..., 1] + around[..., 3]))
+    h0, f0, h1, f1 = around[k, t].T
+    slope0, slope1 = (f0 - best[k, t]) / h0, (f1 - best[k, t]) / h1
     gamma = (slope1 - slope0) / (h1 - h0)
     concave = gamma < 0
-    pairs, t, h0, h1, slope1, gamma = (v[concave] for v in (pairs, t, h0, h1, slope1, gamma))
-    if 0 < pairs.size <= budget:
-        theta = best_theta[pairs, t] + np.clip((gamma * h1 - slope1) / (2.0 * gamma), h0, h1)
-        better = evaluate(pairs, theta)[np.arange(pairs.size), t] > best[pairs, t]
-        best_theta[pairs[better], t[better]] = theta[better]
+    k, t, h0, h1, slope1, gamma = (v[concave] for v in (k, t, h0, h1, slope1, gamma))
+    if 0 < k.size <= budget:
+        theta = best_theta[k, t] + np.clip((gamma * h1 - slope1) / (2.0 * gamma), h0, h1)
+        better = evaluate(k, theta)[np.arange(k.size), t] > best[k, t]
+        best_theta[k[better], t[better]] = theta[better]
     return best_theta, upper + rounding
 
 
-def _tangent_wedges(supports: np.ndarray, done: np.ndarray, phi_count: int):
-    """Bounds on the supports of the directions of the uniform grid that are
-    not in the sorted array ``done``, from the solved supports along the
-    first axis of ``supports``.  Direction j's support is at most the
-    tangent wedge of its nearest solved directions a < j < b (cyclically),
-    (h_a sin(b - j) + h_b sin(j - a)) / sin(b - a).  Wedges are used only
-    for gaps of at most pi/2, where the rounding of the two solved supports
-    is amplified at most sqrt(2) times; wider gaps get inf.  Returns the
-    open directions, their bounds, and each one's a and gap b - a."""
-    open_ = np.setdiff1d(np.arange(phi_count), done)
+def _tangent_wedges(supports: np.ndarray, solved: np.ndarray):
+    """Bounds on the supports of the directions of the uniform grid of
+    ``len(solved)`` directions where the mask ``solved`` is False, from the
+    solved supports along the first axis of ``supports``.  Direction j's
+    support is at most the tangent wedge of its nearest solved directions
+    a < j < b (cyclically), (h_a sin(b - j) + h_b sin(j - a)) / sin(b - a).
+    Wedges are used only for gaps of at most pi/2, where the rounding of the
+    two solved supports is amplified at most sqrt(2) times; wider gaps get
+    inf.  Returns the open directions, their bounds, and each one's a and
+    gap b - a."""
+    phi_count = solved.size
+    done, open_ = np.flatnonzero(solved), np.flatnonzero(~solved)
     after = np.searchsorted(done, open_)
     a, b = done[after - 1], done[after % done.size]
     da, db = (open_ - a) % phi_count, (b - open_) % phi_count
@@ -560,14 +582,19 @@ def _tangent_wedges(supports: np.ndarray, done: np.ndarray, phi_count: int):
 
 
 def operator_range(
-    spec: PeriodicBandedSpec, theta_count: int = THETA_START, phi_count: int = 720
+    spec: PeriodicBandedSpec, theta_count: int = THETA_START, phi_count: int = 720,
+    *, support_rtol: float = SUPPORT_RTOL,
 ) -> RangeReport:
     """Certified range closure over the uniform direction grid.
 
     Each direction's support over ``theta`` is bounded by branch and bound
-    from a start grid of ``theta_count`` angles (``_certified_maxima``); one
-    ``eigh`` at the direction's best ``theta`` then gives its boundary
-    point.  The polygon is their convex hull.  ``residual_summary`` holds
+    from a start grid of ``theta_count`` angles (``_certified_maxima``),
+    until the bound is within ``support_rtol * (1 + sum_u ||A_u||_F)`` of
+    the best support found; a looser ``support_rtol`` takes fewer solves and
+    leaves a wider band [support, upper] (``support_tol`` reports the widest
+    reached), but every ``upper`` stays a bound.  One ``eigh`` at the
+    direction's best ``theta`` then gives its boundary point.  The polygon
+    is their convex hull.  ``residual_summary`` holds
     ``support_attainment_gap`` (largest support minus the boundary point's
     projection), ``support_tol`` (largest upper bound minus support) and
     ``certified_gap``, an upper bound on the Hausdorff distance between the
@@ -580,13 +607,14 @@ def operator_range(
     _check_counts(theta_count, phi_count)
     _check_sweep_size(spec.period, theta_count, phi_count)
     half = _solved_count(phi_count)
-    best_theta, upper = _certified_maxima(spec, theta_count, phi_count)
+    best_theta, upper = _certified_maxima(spec, theta_count, phi_count, rtol=support_rtol)
 
     # One eigh per direction at its best theta: direction j < half takes
     # the top eigenpair of pair j, direction j + half the bottom one.
     pairs = np.tile(np.arange(half), upper.shape[1])
     values, points = _symbol_solve(
-        spec, TAU * pairs / phi_count, best_theta.T.ravel(), want_points=True
+        spec, symbol_harmonics(spec), TAU * pairs / phi_count, best_theta.T.ravel(),
+        want_points=True,
     )
     top = np.arange(phi_count) < half
     point = np.where(top, points[:, 1], points[:, 0])
@@ -615,6 +643,7 @@ def operator_range(
             "certified_gap": float(np.max(np.hypot(offsets[:, 0], offsets[:, 1]))),
         },
         upper=upper,
+        support_rtol=support_rtol,
     )
 
 
@@ -637,16 +666,29 @@ def selfadjoint_interval(
 def truncation_inclusion_check(
     spec: PeriodicBandedSpec, n_rows: int, report: RangeReport
 ) -> float:
-    """Largest excess, max_j (h_T(phi_j) - upper_j), of the ``n_rows``
-    truncation's support over the report's certified upper bounds.
+    """Largest excess, max_j (h_T(phi_j) - U_j), of the ``n_rows``
+    truncation's support over certified upper bounds U_j.
+
+    U_j is the report's ``upper_j`` where the report was swept at
+    ``SUPPORT_RTOL`` or that bound is already within the sweep's
+    ``SUPPORT_RTOL`` tolerance (plus twice its rounding allowance) of the
+    attained support ``samples[j, 0]``.  Elsewhere it is the bound of
+    certifying direction j's pair alone at ``SUPPORT_RTOL``
+    (``_certified_maxima`` from the report's start grid), so the excess is
+    the same, to within that tolerance, whatever ``support_rtol`` the report
+    was swept at.
 
     Truncation ranges lie in the range closure, so the excess is <= 0 up to
     eigenvalue rounding.  Every 8th direction pair is solved first.  The
     support of a direction between two solved ones is at most that of the
-    wedge their tangent lines form, so the directions between them are
-    solved (by bisection of the gap) only while some wedge bound minus
-    ``upper_j`` reaches the best excess found, less a rounding margin; the
-    result equals the maximum over every direction.
+    wedge their tangent lines form, and no sound bound falls below
+    ``samples[j, 0]`` less the rounding allowance.  So a direction is a
+    candidate only while its solved or wedge support minus U_j, or minus
+    that floor while U_j is not yet known, reaches the best excess among
+    directions whose U_j is known, less a rounding margin.  Candidate gaps
+    are bisected and candidate pairs certified (each at most once; while no
+    excess is known, only the pair of the largest candidate) until none is
+    left; the result equals the maximum over every direction.
     """
     phi_count = report.phi_count
     upper = np.asarray(report.upper, dtype=float)
@@ -655,6 +697,12 @@ def truncation_inclusion_check(
     t_n = truncation(spec, n_rows)
     margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
     half = _solved_count(phi_count)
+    tolerance, rounding = _allowances(symbol_harmonics(spec), SUPPORT_RTOL)
+    attained = report.samples[:, 0]
+    # bound[j] is U_j where ``known``, elsewhere the floor attained_j - rounding.
+    fine = upper - attained <= tolerance + 2.0 * rounding
+    known = fine | (report.support_rtol <= SUPPORT_RTOL)
+    bound = np.where(known, upper, attained - rounding)
     supports = np.zeros(phi_count)
     solved = np.zeros(phi_count, dtype=bool)
     new = np.arange(0, half, 8)
@@ -663,14 +711,32 @@ def truncation_inclusion_check(
         supports[new], solved[new] = values[:, 1], True
         if half < phi_count:
             supports[new + half], solved[new + half] = -values[:, 0], True
-        best = float(np.max(supports[solved] - upper[solved]))
-        open_, wedge, a, gap = _tangent_wedges(supports, np.flatnonzero(solved), phi_count)
-        if not open_.size:
+        exact = solved & known
+        excess = supports - bound
+        best = float(np.max(excess[exact], initial=-np.inf))
+        open_, wedge, a, gap = _tangent_wedges(supports, solved)
+        excess[open_] = wedge - bound[open_]
+        reach = ~exact & (excess >= best - margin)
+        loose = reach & solved
+        if best == -np.inf:
+            # No excess is known yet: the largest candidate goes first.
+            loose &= excess == np.max(excess[loose])
+        pick = np.zeros(half, dtype=bool)
+        pick[np.flatnonzero(loose) % half] = True
+        pairs = np.flatnonzero(pick)
+        if pairs.size:
+            # Certified pairs change the best excess and the candidates, so
+            # the truncation is solved further only once none is left.
+            _, alone = _certified_maxima(spec, report.theta_count, phi_count, pairs)
+            directions = pairs[:, None] + half * np.arange(alone.shape[1])
+            bound[directions], known[directions] = alone, True
+            new = pairs[:0]
+            continue
+        ends = reach[open_]
+        pick[(a[ends] + gap[ends] // 2) % phi_count % half] = True
+        new = np.flatnonzero(pick)
+        if not new.size:
             return best
-        reach = wedge - upper[open_] >= best - margin
-        if not np.any(reach):
-            return best
-        new = np.unique((a[reach] + gap[reach] // 2) % phi_count % half)
 
 
 def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

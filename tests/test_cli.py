@@ -10,8 +10,14 @@ import pytest
 
 from toeprange import cli
 from toeprange.curves import boundary_quartic, dual_quartic
-from toeprange.operators import counterexample_spec, spec_to_doc, symbol, validate_spec
-from toeprange.ranges import RangeReport, convex_hull, operator_range
+from toeprange.operators import (
+    counterexample_spec,
+    random_spec,
+    spec_to_doc,
+    symbol,
+    validate_spec,
+)
+from toeprange.ranges import SUPPORT_RTOL, RangeReport, convex_hull, operator_range
 
 COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
 FREE_JACOBI = os.path.join(os.path.dirname(__file__), "..", "specs", "free_jacobi.json")
@@ -323,6 +329,37 @@ class TestVerify:
         )
         assert code == 5
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestScreenedVerify:
+    """``verify`` sweeps at ``_SCREEN_RTOL`` and certifies to
+    ``SUPPORT_RTOL`` only the directions its excess depends on."""
+
+    ARGS = ("--theta-count", "90", "--s", "4", "--s", "8", "--s", "16")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_stdout_matches_a_fine_sweep(self, seed, tmp_path, monkeypatch, capsys):
+        path = write_spec(tmp_path, spec_to_doc(random_spec(np.random.default_rng(seed), 8, 4)))
+        assert cli.main(["verify", path, *self.ARGS]) == 0
+        screened = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_SCREEN_RTOL", SUPPORT_RTOL)
+        assert cli.main(["verify", path, *self.ARGS]) == 0
+        assert capsys.readouterr().out == screened
+
+    def test_solves_a_third_of_a_fine_sweep(self, tmp_path, monkeypatch, capsys):
+        # A sweep at SUPPORT_RTOL takes 32,333 solves of the 8 x 8 symbol
+        # parts on this spec.
+        path = write_spec(tmp_path, spec_to_doc(random_spec(np.random.default_rng(0), 8, 4)))
+        solved, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(h):
+            if np.shape(h)[-1] == 8:
+                solved.append(int(np.prod(np.shape(h)[:-2])))
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert cli.main(["verify", path, *self.ARGS]) == 0
+        assert sum(solved) <= 12_000
 
 
 class TestCounterexample:

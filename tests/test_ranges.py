@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -808,6 +810,113 @@ class TestCertifiedSupports:
         doc = operator_range(counterexample_spec(), 4, 8).to_dict()
         with pytest.raises(ValueError, match="upper bounds"):
             truncation_inclusion_check(counterexample_spec(), 6, RangeReport.from_dict(doc))
+
+
+PERIOD8 = random_spec(np.random.default_rng(0), 8, 4)
+
+
+class TestCertifiedSubsets:
+    @pytest.mark.parametrize("spec", [counterexample_spec(), PERIOD8])
+    def test_subset_rows_equal_single_pair_runs(self, spec):
+        pairs = np.array([3, 17, 100, 359])
+        best_theta, upper = ranges._certified_maxima(spec, 16, 720, pairs)
+        assert upper.shape == (4, 2)
+        for row, k in enumerate(pairs):
+            alone = ranges._certified_maxima(spec, 16, 720, [k])
+            assert np.array_equal(alone[0][0], best_theta[row])
+            assert np.array_equal(alone[1][0], upper[row])
+
+    @pytest.mark.parametrize("spec", [counterexample_spec(), PERIOD8])
+    def test_subset_bounds_stay_above_a_fine_theta_reference(self, spec):
+        # Largest top and negated bottom eigenvalue over 4,096 theta of each
+        # requested pair's direction phi_k = 2 pi k / 720.
+        pairs = np.arange(0, 360, 7)
+        symbols = symbol_batch(spec, TAU * np.arange(4096) / 4096)
+        reference = []
+        for k in pairs:
+            rotated = np.exp(-1j * TAU * k / 720) * symbols
+            values = np.linalg.eigvalsh(0.5 * (rotated + np.conj(np.swapaxes(rotated, 1, 2))))
+            reference.append([values[:, -1].max(), (-values[:, 0]).max()])
+        _, upper = ranges._certified_maxima(spec, 16, 720, pairs)
+        assert np.all(np.array(reference) <= upper)
+
+    def test_odd_grid_certifies_each_direction_as_its_own_pair(self):
+        spec = random_spec(np.random.default_rng(62), 3, 2)
+        pairs = np.array([0, 45, 46, 90])
+        best_theta, upper = ranges._certified_maxima(spec, 16, 91, pairs)
+        full_theta, full_upper = ranges._certified_maxima(spec, 16, 91)
+        assert upper.shape == (4, 1) and full_upper.shape == (91, 1)
+        assert np.array_equal(upper, full_upper[pairs])
+        assert np.array_equal(best_theta, full_theta[pairs])
+
+    def test_support_rtol_is_reported_and_reached(self):
+        spec = counterexample_spec()
+        fine = operator_range(spec, phi_count=360)
+        screen = operator_range(spec, phi_count=360, support_rtol=1e-4)
+        assert fine.support_rtol == SUPPORT_RTOL and screen.support_rtol == 1e-4
+        tolerance, rounding = ranges._allowances(symbol_harmonics(spec), 1e-4)
+        loose = screen.upper - screen.samples[:, 0]
+        assert screen.residual_summary["support_tol"] == np.max(loose)
+        assert np.max(loose) <= tolerance + 2 * rounding
+        assert np.max(loose) > fine.residual_summary["support_tol"]
+        assert np.all(theta_reference(spec, 360) <= screen.upper)
+
+
+class TestScreenedInclusionCheck:
+    @pytest.mark.parametrize(
+        "spec, phi_count, sizes",
+        [
+            (counterexample_spec(), 720, (3, 10, 40, 124)),
+            (PERIOD8, 720, (28, 60, 124)),
+            (random_spec(np.random.default_rng(62), 3, 2), 91, (5, 40)),
+        ],
+    )
+    def test_equals_the_maximum_over_pairs_certified_alone(self, spec, phi_count, sizes):
+        report = operator_range(spec, phi_count=phi_count, support_rtol=1e-4)
+        half = phi_count // 2 if phi_count % 2 == 0 else phi_count
+        _, alone = ranges._certified_maxima(spec, report.theta_count, phi_count, np.arange(half))
+        tolerance, rounding = ranges._allowances(symbol_harmonics(spec), SUPPORT_RTOL)
+        fine = report.upper - report.samples[:, 0] <= tolerance + 2 * rounding
+        bounds = np.where(fine, report.upper, alone.T.ravel())
+        for n in sizes:
+            full = _batched_support(truncation(spec, n)[None], phi_count, want_points=False)
+            expected = float(np.max(full[0, :, 0] - bounds))
+            assert truncation_inclusion_check(spec, n, report) == expected
+            assert expected <= 1e-8
+
+    def test_certifies_few_pairs(self, monkeypatch):
+        report = operator_range(PERIOD8, 90, 720, support_rtol=1e-4)
+        certify, requested = ranges._certified_maxima, []
+
+        def counting(spec, theta_count, phi_count, pairs):
+            requested.extend(pairs)
+            return certify(spec, theta_count, phi_count, pairs)
+
+        monkeypatch.setattr(ranges, "_certified_maxima", counting)
+        for n in (28, 60, 124):
+            requested.clear()
+            truncation_inclusion_check(PERIOD8, n, report)
+            # Each pair at most once per call, and only a few of 360.
+            assert 0 < len(requested) == len(set(requested)) <= 8
+
+    def test_numpy_ma_is_not_imported(self):
+        # np.unique and np.setdiff1d import numpy.ma, which costs more start-up
+        # time than the package itself.
+        code = (
+            "import sys\n"
+            "from toeprange.operators import counterexample_spec\n"
+            "from toeprange.ranges import operator_range, truncation_inclusion_check\n"
+            "spec = counterexample_spec()\n"
+            "report = operator_range(spec, phi_count=720, support_rtol=1e-4)\n"
+            "truncation_inclusion_check(spec, 40, report)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 def violation_reference(vertices, point) -> float:
