@@ -48,8 +48,8 @@ _CHUNK_ENTRY_BUDGET = 1 << 18
 # Sample tables are serialized this many rows at a time, so only one chunk
 # of Python row objects exists besides the output text.
 _ROW_CHUNK = 8192
-# Sweeps whose symbol stack and sample arrays are estimated to need more
-# bytes than this are refused before anything is allocated.
+# Sweeps whose symbol stack, sample arrays and eigensolve chunk are estimated
+# to need more bytes than this are refused before anything is allocated.
 SWEEP_BYTE_CAP = 1 << 30
 # Start grid of the certified sweep in theta when none is given.
 THETA_START = 16
@@ -254,39 +254,24 @@ def convex_hull(points) -> ConvexPolygon:
     return ConvexPolygon(np.asarray(hull))
 
 
-def _batched_support(matrices: np.ndarray, phi_count: int, want_points: bool):
-    """Support values (and boundary points) of a stack of matrices over the
-    uniform direction grid ``phi_j = 2*pi*j/P``.  ``matrices`` has shape
-    (B, d, d); the result has shape (B, P, 3), columns (support, x, y), or
-    (B, P, 1) of supports alone without ``want_points``.
-
-    For even P, direction ``j + P/2`` is antipodal to ``j``: since
-    Re(e^{-i(phi+pi)}A) = -Re(e^{-i phi}A), its support is minus the bottom
-    eigenvalue at ``phi_j`` and its boundary point is the Rayleigh value of
-    the bottom eigenvector, so only the directions ``j < P/2`` are solved.
-    For odd P every direction is solved."""
-    mats = np.asarray(matrices, dtype=complex)
-    half = _solved_count(phi_count)
-    phis = TAU * np.arange(half) / phi_count
-    out = np.empty((len(mats), phi_count, 3 if want_points else 1))
-    # (columns, eigenpair, sign): columns j < half take the top pair; for
-    # even P, columns j + half take the bottom pair, negated.
-    targets = [(slice(0, half), 1, 1.0)]
-    if half < phi_count:
-        targets.append((slice(half, phi_count), 0, -1.0))
-    for row, mat in zip(out, mats):
-        values, points = _extreme_eigs(mat, phis, (lambda rows: mat) if want_points else None)
-        for cols, end, sign in targets:
-            row[cols, 0] = sign * values[:, end]
-            if want_points:
-                row[cols, 1], row[cols, 2] = points[:, end].real, points[:, end].imag
-    return out
-
-
 def _solved_count(phi_count: int) -> int:
     """Directions solved on a grid of ``phi_count``: the P/2 antipodal pairs
     for even P, every direction for odd P."""
     return phi_count // 2 if phi_count % 2 == 0 else phi_count
+
+
+def _antipodes(pairs, phi_count: int, values, points=None):
+    """Directions served by the solves of direction ``pairs`` on the uniform
+    grid of ``phi_count``, their supports and, given ``_extreme_eigs``'s
+    Rayleigh ``points``, their boundary points as (x, y) rows.  Direction k
+    takes its top eigenpair; for even P the antipodal direction k + P/2 takes
+    the bottom one, its value negated, as Re(e^{-i(phi+pi)}A) = -Re(e^{-i phi}A)."""
+    take = slice(2 if phi_count % 2 == 0 else 1)
+    directions = np.concatenate([pairs, pairs + phi_count // 2][take])
+    supports = np.concatenate([values[:, 1], -values[:, 0]][take])
+    if points is not None:
+        points = np.concatenate([points[:, 1], points[:, 0]][take]).view(float).reshape(-1, 2)
+    return directions, supports, points
 
 
 def _extreme_eigs(basis, angles, matrices=None):
@@ -315,7 +300,7 @@ def _extreme_eigs(basis, angles, matrices=None):
             points[rows] = np.einsum("cik,cij,cjk->ck", np.conj(ends), mats, ends)
         values[rows] = eigenvalues[:, [0, -1]]
         # Free this chunk's stacks before the next chunk's are built.
-        herm = vectors = None
+        herm = vectors = mats = None
     return values, points
 
 
@@ -326,14 +311,16 @@ def _check_counts(theta_count: int, phi_count: int) -> None:
         raise ValueError("phi_count must be >= 3")
 
 
-def _check_sweep_size(period: int, theta_count: int, phi_count: int) -> None:
-    """Raise ``ValueError`` when the (theta_count, d, d) complex symbol stack
-    plus the theta_count * phi_count samples are estimated to exceed
-    ``SWEEP_BYTE_CAP``.  Each sample is charged 64 bytes: its 24-byte
-    (support, x, y) row plus working copies, which is what a 720 x 720
-    uniform sweep peaks at per sample; a certified sweep keeps less per
-    start-grid pair (its values and its theta interval)."""
-    estimate = theta_count * (16 * period * period + 64 * phi_count)
+def _check_sweep_size(period: int, theta_count: int, phi_count: int, sample_bytes=80) -> None:
+    """Raise ``ValueError`` when a sweep is estimated to need more than
+    ``SWEEP_BYTE_CAP`` bytes: its (theta_count, d, d) complex symbol stack,
+    ``sample_bytes`` per theta_count * phi_count sample (the certified
+    sweep's start-grid values and bounds peak at 72-73 bytes each), and
+    four stacks of one ``_extreme_eigs`` chunk: the Hermitian parts, their
+    eigenvectors, and the symbols with the temporary that sums them.  The
+    bisection's intervals, bounded by ``REFINE_BUDGET``, are not charged."""
+    estimate = (theta_count * (16 * period * period + sample_bytes * phi_count)
+                + 4 * 16 * _CHUNK_ENTRY_BUDGET)
     if estimate > SWEEP_BYTE_CAP:
         raise ValueError(
             f"a sweep over {theta_count} symbol angles and {phi_count} directions "
@@ -347,10 +334,9 @@ def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
     if phi_count < 3:
         raise ValueError("phi_count must be >= 3")
     m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("numerical range needs a square matrix")
-    sweep = _batched_support(m[None, :, :], phi_count, want_points=True)
-    return convex_hull(sweep[0, :, 1:])
+    pairs = np.arange(_solved_count(phi_count))
+    solved = _extreme_eigs(m, TAU * pairs / phi_count, lambda rows: m)
+    return convex_hull(_antipodes(pairs, phi_count, *solved)[2])
 
 
 def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int = 720) -> str:
@@ -359,9 +345,15 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
     line.  Each row is a symbol's support and a boundary point attaining it;
     nothing is certified between grid angles."""
     _check_counts(theta_count, phi_count)
-    _check_sweep_size(spec.period, theta_count, phi_count)
+    # Each sample's 24-byte row, and its text twice (the pieces and their
+    # join): at most five 24-character fields and their separators.
+    _check_sweep_size(spec.period, theta_count, phi_count, 24 + 2 * 125)
     thetas = TAU * np.arange(theta_count) / theta_count
-    sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=True)
+    pairs = np.arange(_solved_count(phi_count))
+    sweep = np.empty((theta_count, phi_count, 3))
+    for row, mat in zip(sweep, symbol_batch(spec, thetas)):
+        solved = _extreme_eigs(mat, TAU * pairs / phi_count, lambda rows: mat)
+        _, row[:, 0], row[:, 1:] = _antipodes(pairs, phi_count, *solved)
     return _table_text(sweep.reshape(-1, 3), theta_count, phi_count)
 
 
@@ -456,11 +448,10 @@ def _certified_maxima(
     harmonics = symbol_harmonics(spec)
     curvature = _curvature(harmonics)
     tolerance, rounding = _allowances(harmonics, rtol)
-    signs = np.array([1.0, -1.0])[:targets]
 
     def evaluate(rows, thetas):
         values, _ = _symbol_solve(spec, harmonics, phis[rows], thetas)
-        return values[:, ::-1][:, :targets] * signs
+        return _antipodes(pairs[rows], phi_count, values)[1].reshape(targets, -1).T
 
     grid = TAU * np.arange(theta_count) / theta_count
     ends = np.append(grid[1:], TAU)
@@ -708,9 +699,8 @@ def truncation_inclusion_check(
     new = np.arange(0, half, 8)
     while True:
         values, _ = _extreme_eigs(t_n, TAU * new / phi_count)
-        supports[new], solved[new] = values[:, 1], True
-        if half < phi_count:
-            supports[new + half], solved[new + half] = -values[:, 0], True
+        directions, values, _ = _antipodes(new, phi_count, values)
+        supports[directions], solved[directions] = values, True
         exact = solved & known
         excess = supports - bound
         best = float(np.max(excess[exact], initial=-np.inf))

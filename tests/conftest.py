@@ -1,8 +1,10 @@
-"""Shared generators for seeded property tests."""
+"""Shared generators for seeded property tests, and the supports of one
+matrix over a uniform direction grid."""
 
 import numpy as np
 
-from toeprange.operators import PeriodicBandedSpec, random_spec
+from toeprange.operators import TAU, PeriodicBandedSpec, random_spec
+from toeprange.ranges import _antipodes, _extreme_eigs, _solved_count
 
 
 def random_spec_with_s(rng: np.random.Generator) -> tuple[PeriodicBandedSpec, int]:
@@ -29,3 +31,13 @@ def random_complex_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = random_complex_matrix(rng, dim)
     return 0.5 * (m + m.conj().T)
+
+
+def grid_supports(matrix, phi_count: int) -> np.ndarray:
+    """Supports of W(matrix) in the directions 2 pi j / phi_count, j = 0, ...,
+    phi_count - 1: one ``_extreme_eigs`` solve per antipodal pair."""
+    pairs = np.arange(_solved_count(phi_count))
+    values, _ = _extreme_eigs(np.asarray(matrix, dtype=complex), TAU * pairs / phi_count)
+    directions, supports, _ = _antipodes(pairs, phi_count, values)
+    assert np.array_equal(directions, np.arange(phi_count))
+    return supports

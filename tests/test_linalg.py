@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_complex_matrix, random_hermitian
+from conftest import grid_supports, random_complex_matrix, random_hermitian
 from toeprange.linalg import (
     EigenSolverError,
     as_matrix,
@@ -14,8 +14,8 @@ from toeprange.linalg import (
     max_norm,
     rotated_hermitian_parts,
 )
-from toeprange.operators import random_spec, symbol_batch, symbol_harmonics
-from toeprange.ranges import _batched_support
+from toeprange.operators import TAU, random_spec, symbol_batch, symbol_harmonics
+from toeprange.ranges import _antipodes, _extreme_eigs, matrix_numerical_range
 
 
 class TestAsMatrix:
@@ -180,12 +180,12 @@ def eigh(h):
 def extreme_supports(a) -> np.ndarray:
     """Supports of W(A) at phi = 0 and pi from the sweep's batched solve:
     the top eigenvalue of the Hermitian part and minus the bottom one."""
-    return _batched_support(np.asarray(a, dtype=complex)[None], 2, want_points=False)[0, :, 0]
+    return grid_supports(a, 2)
 
 
 class TestEigh:
     """The one Hermitian eigensolve path: ``lapack(np.linalg.eigh)`` on the
-    stacked rotated Hermitian parts, as ``_batched_support`` runs it."""
+    stacked rotated Hermitian parts, as ``_extreme_eigs`` runs it."""
 
     def test_diagonal(self):
         values, _ = eigh(np.diag([3.0, -1.0]))
@@ -233,22 +233,31 @@ class TestEigh:
         rng = np.random.default_rng(6)
         a = random_complex_matrix(rng, 7)
         u = _random_givens_unitary(rng, 7)
-        base = _batched_support(a[None], 16, want_points=False)
-        conj = _batched_support((u.conj().T @ a @ u)[None], 16, want_points=False)
-        assert np.max(np.abs(base - conj)) < 1e-8
+        b = u.conj().T @ a @ u
+        phis = TAU * np.arange(8) / 16
+        base = _antipodes(np.arange(8), 16, *_extreme_eigs(a, phis, lambda rows: a))
+        conj = _antipodes(np.arange(8), 16, *_extreme_eigs(b, phis, lambda rows: b))
+        # Equal supports, and the same boundary points: v* A v = (U* v)* B (U* v).
+        assert np.array_equal(base[0], conj[0])
+        assert np.max(np.abs(base[1] - conj[1])) < 1e-8
+        assert np.max(np.abs(base[2] - conj[2])) < 1e-8
         h = random_hermitian(rng, 7)
         assert np.max(np.abs(eigh(h)[0] - eigh(u.conj().T @ h @ u)[0])) < 1e-8
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         a = random_complex_matrix(rng, 6)
-        first = _batched_support(a[None], 12, want_points=True)
-        second = _batched_support(a[None], 12, want_points=True)
-        assert np.array_equal(first, second)
+        phis = TAU * np.arange(6) / 12
+        first, second = (
+            _antipodes(np.arange(6), 12, *_extreme_eigs(a, phis, lambda rows: a)) for _ in range(2)
+        )
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            _batched_support(np.ones((1, 2, 3)), 4, want_points=True)
+        with pytest.raises(ValueError, match="square"):
+            _extreme_eigs(np.ones((2, 3)), np.zeros(2), lambda rows: np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            matrix_numerical_range(np.ones((2, 3)))
 
     def test_error_type_exists(self):
         assert issubclass(EigenSolverError, RuntimeError)
@@ -272,5 +281,6 @@ class TestLapack:
     def test_eigh_failure(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigh", self.fail)
         for h in (np.eye(2), [[1.0, 1j], [-1j, 1.0]]):
+            m = np.asarray(h, dtype=complex)
             with pytest.raises(EigenSolverError):
-                _batched_support(np.asarray(h, dtype=complex)[None], 4, want_points=True)
+                _extreme_eigs(m, TAU * np.arange(2) / 4, lambda rows: m)

@@ -46,3 +46,32 @@ def test_decompositions_go_through_the_linalg_facade():
             ):
                 offenders.append(f"{path.name}:{node.lineno} calls np.linalg.{node.func.attr}")
     assert offenders == []
+
+
+def test_ranges_solves_only_in_extreme_eigs():
+    """In ``ranges.py`` ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` appear
+    only as the solver handed to ``linalg.lapack`` inside ``_extreme_eigs``,
+    the one chunked Hermitian solve."""
+    path = pathlib.Path(toeprange.__file__).parent / "ranges.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (solve,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_extreme_eigs"
+    ]
+    handed = {
+        id(node.args[0]) for node in ast.walk(solve)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "lapack"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "linalg"
+        and node.args
+    }
+    named = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh")
+    ]
+    assert {node.attr for node in named} == {"eigh", "eigvalsh"}
+    for node in named:
+        assert id(node) in handed, f"ranges.py:{node.lineno} names np.linalg.{node.attr}"
+        assert ast.unparse(node) == f"np.linalg.{node.attr}"

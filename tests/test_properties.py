@@ -8,11 +8,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import grid_supports  # noqa: E402
 from toeprange.operators import TAU, PeriodicBandedSpec, symbol_harmonics, truncation  # noqa: E402
 from toeprange.ranges import (  # noqa: E402
     SUPPORT_RTOL,
     ConvexPolygon,
-    _batched_support,
     convex_hull,
     operator_range,
 )
@@ -126,5 +126,5 @@ def test_polygon_support_is_the_largest_sampled_support(spec, scale):
 @given(specs(), st.integers(1, 12))
 def test_truncation_supports_stay_under_the_certified_bounds(spec, n_rows):
     report = operator_range(spec, phi_count=GRID)
-    supports = _batched_support(truncation(spec, n_rows)[None], GRID, want_points=False)
-    assert np.all(supports[0, :, 0] <= report.upper + 1e-8)
+    supports = grid_supports(truncation(spec, n_rows), GRID)
+    assert np.all(supports <= report.upper + 1e-8)

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_complex_matrix, random_unit_vector
+from conftest import grid_supports, random_complex_matrix, random_unit_vector
 from toeprange import ranges
 from toeprange.operators import (
     TAU,
@@ -30,9 +30,11 @@ from toeprange.ranges import (
     SUPPORT_RTOL,
     ConvexPolygon,
     RangeReport,
-    _batched_support,
+    _antipodes,
     _check_sweep_size,
     _curvature,
+    _extreme_eigs,
+    _solved_count,
     _table_text,
     convex_hull,
     flat_table,
@@ -49,10 +51,17 @@ SELFADJOINT_PERIOD3 = os.path.join(
 
 
 def uniform_sweep(spec, theta_count, phi_count):
-    """The uniform sweep's theta-major (support, x, y) rows."""
+    """The uniform sweep's theta-major (support, x, y) rows: one
+    ``_extreme_eigs`` solve per symbol, with its boundary points."""
     thetas = TAU * np.arange(theta_count) / theta_count
-    sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=True)
-    return sweep.reshape(-1, 3)
+    pairs = np.arange(_solved_count(phi_count))
+    table = []
+    for mat in symbol_batch(spec, thetas):
+        solved = _extreme_eigs(mat, TAU * pairs / phi_count, lambda rows: mat)
+        directions, supports, points = _antipodes(pairs, phi_count, *solved)
+        assert np.array_equal(directions, np.arange(phi_count))
+        table.append(np.column_stack([supports, points]))
+    return np.concatenate(table)
 
 
 def reference_rows(samples, theta_count, phi_count):
@@ -78,8 +87,7 @@ def theta_reference(spec, phi_count, theta_count=4096):
     """Largest support over a fine uniform theta grid, per direction, from
     eigenvalues alone."""
     thetas = TAU * np.arange(theta_count) / theta_count
-    sweep = _batched_support(symbol_batch(spec, thetas), phi_count, want_points=False)
-    return sweep[..., 0].max(axis=0)
+    return np.max([grid_supports(mat, phi_count) for mat in symbol_batch(spec, thetas)], axis=0)
 
 
 def band_width(spec) -> float:
@@ -151,17 +159,18 @@ class TestBatchedSupport:
         mats = np.concatenate([mats, np.diag([1.0, 1j, -1.0, 2.0])[None]])
         tol = 1e-12 * (1.0 + np.max(np.abs(mats)))
         phis = TAU * np.arange(phi_count) / phi_count
-        sweep = _batched_support(mats, phi_count, want_points=True)
-        values_only = _batched_support(mats, phi_count, want_points=False)
-        assert sweep.shape == (len(mats), phi_count, 3)
-        assert values_only.shape == (len(mats), phi_count, 1)
-        supports, points = sweep[..., 0], sweep[..., 1:]
-        assert np.max(np.abs(values_only[..., 0] - supports)) <= tol
-        for b, mat in enumerate(mats):
+        pairs = np.arange(_solved_count(phi_count))
+        for mat in mats:
+            solved = _extreme_eigs(mat, phis[pairs], lambda rows: mat)
+            directions, supports, points = _antipodes(pairs, phi_count, *solved)
+            assert np.array_equal(directions, np.arange(phi_count))
+            assert supports.shape == (phi_count,) and points.shape == (phi_count, 2)
+            values_only = grid_supports(mat, phi_count)
+            assert np.max(np.abs(values_only - supports)) <= tol
             reference = [support_function(mat, phi)[0] for phi in phis]
-            assert np.max(np.abs(supports[b] - reference)) <= tol
-            attained = points[b, :, 0] * np.cos(phis) + points[b, :, 1] * np.sin(phis)
-            assert np.max(np.abs(attained - supports[b])) <= tol
+            assert np.max(np.abs(supports - reference)) <= tol
+            attained = points[:, 0] * np.cos(phis) + points[:, 1] * np.sin(phis)
+            assert np.max(np.abs(attained - supports)) <= tol
 
     def test_solves_half_the_directions_on_even_grids(self, monkeypatch):
         solved = {"eigh": 0, "eigvalsh": 0}
@@ -189,6 +198,14 @@ class TestBatchedSupport:
         assert solved["eigh"] == 0 and 0 < solved["eigvalsh"] <= 20
         # The start grid's bounds alone are sound.
         assert np.all(theta_reference(spec, 40, 512) <= report.upper)
+        # The uniform sweeps solve each antipodal pair once per matrix.
+        for theta_count, phi_count, pairs in ((9, 40, 20), (9, 41, 41)):
+            solved.update(eigh=0, eigvalsh=0)
+            flat_table(spec, theta_count, phi_count)
+            assert solved == {"eigh": theta_count * pairs, "eigvalsh": 0}
+        solved.update(eigh=0, eigvalsh=0)
+        matrix_numerical_range(symbol(spec, 0.3), 40)
+        assert solved == {"eigh": 20, "eigvalsh": 0}
 
 
 class TestMatrixNumericalRange:
@@ -485,6 +502,31 @@ class TestOperatorRange:
         _check_sweep_size(16, 720, 720)
         _check_sweep_size(1, 2000, 0)
 
+    @pytest.mark.parametrize(
+        "sweep, spec, theta_count, phi_count",
+        [
+            # The table's text dominates the first, the eigensolve chunk and
+            # the row formatting the second.
+            (flat_table, counterexample_spec(), 300, 300),
+            (flat_table, random_spec(np.random.default_rng(0), 8, 4), 90, 72),
+            # The start grid's values and bounds dominate the first, a 4 MiB
+            # stack of Hermitian parts the second.
+            (operator_range, counterexample_spec(), 360, 360),
+            (operator_range, random_spec(np.random.default_rng(0), 8, 4), 90, 720),
+        ],
+    )
+    def test_size_check_charges_the_peak(self, monkeypatch, sweep, spec, theta_count, phi_count):
+        tracemalloc.start()
+        try:
+            sweep(spec, theta_count, phi_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The estimate is at least the peak: a cap one byte below refuses it.
+        monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", peak - 1)
+        with pytest.raises(ValueError, match="cap"):
+            sweep(spec, theta_count, phi_count)
+
 
 class TestSelfadjointInterval:
     def test_free_jacobi(self):
@@ -761,8 +803,8 @@ class TestCertifiedSupports:
     def test_pruned_inclusion_check_is_the_full_grid_maximum(self, spec, phi_count, sizes):
         report = operator_range(spec, phi_count=phi_count)
         for n in sizes:
-            full = _batched_support(truncation(spec, n)[None], phi_count, want_points=False)
-            expected = float(np.max(full[0, :, 0] - report.upper))
+            full = grid_supports(truncation(spec, n), phi_count)
+            expected = float(np.max(full - report.upper))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
 
@@ -879,8 +921,8 @@ class TestScreenedInclusionCheck:
         fine = report.upper - report.samples[:, 0] <= tolerance + 2 * rounding
         bounds = np.where(fine, report.upper, alone.T.ravel())
         for n in sizes:
-            full = _batched_support(truncation(spec, n)[None], phi_count, want_points=False)
-            expected = float(np.max(full[0, :, 0] - bounds))
+            full = grid_supports(truncation(spec, n), phi_count)
+            expected = float(np.max(full - bounds))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
 
