@@ -71,6 +71,12 @@ FORMATS = ("report-doc", "flat-table", "svg")
 # depends on, so a looser screen saves solves without loosening the bounds
 # the printed excess is taken against.
 _SCREEN_RTOL = 1e-4
+# Bytes per overlay sample (theta x phi) of an SVG, whose symbol ranges run
+# no bisection: the hull vertices and their stacked copy in
+# ``svg.range_figure`` (16 each), and the path text, 24 characters a vertex,
+# held three times (the pieces, their join, and the join with its final
+# newline).  Measured: 96-107 bytes per sample.
+_OVERLAY_SAMPLE_BYTES = 112
 
 
 class OutputError(RuntimeError):
@@ -152,7 +158,8 @@ def cmd_range(args: argparse.Namespace) -> int:
         _write_output(flat_table(spec, **_grid(args)), args.out)
         return EXIT_OK
     if args.format == "svg":
-        _check_sweep_size(spec.period, args.overlay_thetas, args.phi_count)
+        _check_sweep_size(spec.period, args.overlay_thetas, args.phi_count,
+                          _OVERLAY_SAMPLE_BYTES, bisection=False)
     report = operator_range(spec, **_grid(args))
     if args.format == "svg":
         overlays = _overlay_polygons(spec, args.overlay_thetas, args.phi_count)

@@ -68,12 +68,20 @@ def rotated_hermitian_parts(basis, angles) -> np.ndarray:
         raise ValueError(
             f"angles of shape {np.shape(angles)} do not fit a basis of shape {np.shape(basis)}"
         )
+    # Built in place: a chunked solve calls this once per chunk, so each
+    # temporary stack costs fresh pages every time.
     adjoint = np.conj(np.swapaxes(b, -1, -2))
-    terms = np.stack([0.5 * (b + adjoint), -0.5j * (b - adjoint)], axis=1)
+    terms = np.empty((k, 2, d, d), dtype=complex)
+    np.multiply(0.5, np.add(b, adjoint, out=terms[:, 0]), out=terms[:, 0])
+    np.multiply(-0.5j, np.subtract(b, adjoint, out=terms[:, 1]), out=terms[:, 1])
     rows = np.stack([np.cos(psi), np.sin(psi)], axis=2).reshape(len(psi), 2 * k)
     # numpy hands a one-row product to gemv, whose rounding differs from
-    # gemm's, so a single row is computed twice to keep each part
-    # independent of its batch.
+    # gemm's, so a single row is computed twice to round like a batch.
+    # Whether gemm rounds a row the same in every batch depends on the BLAS
+    # kernel: with OpenBLAS it does at every batch size for K <= 7 terms and
+    # for d = 2, 4 and 8 up to K = 97, but not for d = 1 or 3 with K >= 9
+    # (for the K = 49, d = 1 Fejer basis ~1,200 of 5,000 rows differ bitwise
+    # between one call and batches of 7).
     parts = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
     parts = parts @ terms.reshape(2 * k, d * d).view(float)
     return parts[: len(rows)].view(complex).reshape(len(rows), d, d)

@@ -43,14 +43,23 @@ from .operators import (
 
 HULL_COLLINEARITY_RTOL = 1e-12
 # Batched eigensolves are chunked to roughly this many matrix entries, so
-# each rotated, Hermitian or eigenvector stack stays within 4 MiB.
-_CHUNK_ENTRY_BUDGET = 1 << 18
+# each Hermitian, eigenvector or symbol stack stays within 1 MiB; the
+# certified sweep's start-grid temporaries are taken in blocks of as many.
+_CHUNK_ENTRY_BUDGET = 1 << 16
 # Sample tables are serialized this many rows at a time, so only one chunk
 # of Python row objects exists besides the output text.
 _ROW_CHUNK = 8192
-# Sweeps whose symbol stack, sample arrays and eigensolve chunk are estimated
-# to need more bytes than this are refused before anything is allocated.
+# Sweeps whose symbol stack, sample arrays, bisection intervals and
+# eigensolve chunk are estimated to need more bytes than this are refused
+# before anything is allocated.
 SWEEP_BYTE_CAP = 1 << 30
+# Bytes a certified sweep is charged per theta x phi start-grid sample (its
+# values and masks), and per bisection interval: its ends and their index
+# and ranking, plus its end values and bound per target direction (1 for
+# odd P, 2 for even P); see _check_sweep_size.
+_SAMPLE_BYTES = 16
+_INTERVAL_BYTES = 64
+_TARGET_BYTES = 24
 # Start grid of the certified sweep in theta when none is given.
 THETA_START = 16
 # A direction's theta intervals are bisected until none of their bounds
@@ -160,6 +169,11 @@ class RangeReport:
     residual_summary: dict[str, float] = field(default_factory=dict)
     upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
     support_rtol: float = SUPPORT_RTOL
+    # Bounds ``truncation_inclusion_check`` certified at SUPPORT_RTOL, by the
+    # spec's harmonics (shape and bytes) and then by direction, so each
+    # direction pair of a spec is certified at most once per report.
+    _certified: dict[tuple, dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The range document: grid sizes, residuals and the polygon.  The
@@ -274,23 +288,37 @@ def _antipodes(pairs, phi_count: int, values, points=None):
     return directions, supports, points
 
 
-def _extreme_eigs(basis, angles, matrices=None):
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of ``_CHUNK_ENTRY_BUDGET // width`` rows (at least one)
+    covering ``range(n)``: the row blocks in which a step whose temporaries
+    take ``width`` entries per row keeps them within the budget."""
+    size = max(1, _CHUNK_ENTRY_BUDGET // width)
+    return [slice(start, start + size) for start in range(0, n, size)]
+
+
+def _extreme_eigs(basis, angles, matrices=None, thetas=None):
     """Bottom and top eigenvalues, shape (n, 2), of the n rotated Hermitian
     parts ``rotated_hermitian_parts(basis, angles)``; with ``matrices`` also
     the Rayleigh values v* M_i v of the two eigenvectors, complex (n, 2),
     else None.  ``matrices(rows)`` returns the (c, d, d) matrices of an
-    index slice, or one (d, d) matrix shared by all of them.
+    index slice, or one (d, d) matrix shared by all of them.  With
+    ``thetas`` the basis holds harmonics A_u, u = -(K // 2), ..., K // 2,
+    and row i's angles are psi_u = angles[i] - u thetas[i].
 
-    The parts are built and solved in chunks of ``_CHUNK_ENTRY_BUDGET``
-    entries."""
-    size = np.shape(basis)[-1]
+    This is where eigensolve memory is sized: a chunk of
+    ``_CHUNK_ENTRY_BUDGET // max(d^2, 2K)`` rows is built and solved at a
+    time, so its angle, cosine and sine tables and its Hermitian parts each
+    stay within ``_CHUNK_ENTRY_BUDGET`` entries (one matrix at a time when
+    a single one is larger)."""
+    shape = np.shape(basis)
+    terms = shape[0] if len(shape) == 3 else 1
+    orders = np.arange(terms) - terms // 2
     n = len(angles)
     values = np.empty((n, 2))
     points = None if matrices is None else np.empty((n, 2), dtype=complex)
-    chunk = max(1, _CHUNK_ENTRY_BUDGET // (size * size))
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        herm = rotated_hermitian_parts(basis, angles[rows])
+    for rows in _blocks(n, max(shape[-1] ** 2, 2 * terms)):
+        psi = angles[rows] if thetas is None else angles[rows, None] - orders * thetas[rows, None]
+        herm = rotated_hermitian_parts(basis, psi)
         if matrices is None:
             eigenvalues = linalg.lapack(np.linalg.eigvalsh, herm)
         else:
@@ -311,15 +339,23 @@ def _check_counts(theta_count: int, phi_count: int) -> None:
         raise ValueError("phi_count must be >= 3")
 
 
-def _check_sweep_size(period: int, theta_count: int, phi_count: int, sample_bytes=80) -> None:
+def _check_sweep_size(
+    period: int, theta_count: int, phi_count: int, sample_bytes=_SAMPLE_BYTES, bisection=True,
+) -> None:
     """Raise ``ValueError`` when a sweep is estimated to need more than
     ``SWEEP_BYTE_CAP`` bytes: its (theta_count, d, d) complex symbol stack,
-    ``sample_bytes`` per theta_count * phi_count sample (the certified
-    sweep's start-grid values and bounds peak at 72-73 bytes each), and
-    four stacks of one ``_extreme_eigs`` chunk: the Hermitian parts, their
-    eigenvectors, and the symbols with the temporary that sums them.  The
-    bisection's intervals, bounded by ``REFINE_BUDGET``, are not charged."""
+    ``sample_bytes`` per theta_count * phi_count sample, with ``bisection``
+    the certified sweep's bisection intervals, and four stacks of one
+    ``_extreme_eigs`` chunk: the Hermitian parts, their eigenvectors, and
+    the symbols with the temporary that sums them.  A certified sweep
+    starts from at most theta_count intervals per solved direction, and
+    each round splits at most the ``REFINE_BUDGET`` left, so no later round
+    holds more than 2 * ``REFINE_BUDGET`` intervals."""
+    solved = _solved_count(phi_count)
+    targets = 2 if solved < phi_count else 1
+    intervals = max(theta_count * solved, 2 * REFINE_BUDGET) if bisection else 0
     estimate = (theta_count * (16 * period * period + sample_bytes * phi_count)
+                + (_INTERVAL_BYTES + _TARGET_BYTES * targets) * intervals
                 + 4 * 16 * _CHUNK_ENTRY_BUDGET)
     if estimate > SWEEP_BYTE_CAP:
         raise ValueError(
@@ -347,7 +383,7 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
     _check_counts(theta_count, phi_count)
     # Each sample's 24-byte row, and its text twice (the pieces and their
     # join): at most five 24-character fields and their separators.
-    _check_sweep_size(spec.period, theta_count, phi_count, 24 + 2 * 125)
+    _check_sweep_size(spec.period, theta_count, phi_count, 24 + 2 * 125, bisection=False)
     thetas = TAU * np.arange(theta_count) / theta_count
     pairs = np.arange(_solved_count(phi_count))
     sweep = np.empty((theta_count, phi_count, 3))
@@ -361,11 +397,9 @@ def _symbol_solve(spec: PeriodicBandedSpec, harmonics, phis, thetas, want_points
     """``_extreme_eigs`` of Re(e^{-i phi_i} A(theta_i)) for paired rows of
     ``phis`` and ``thetas``: the spec's ``harmonics`` A_u at psi_u = phi -
     u theta, and with ``want_points`` the Rayleigh values v* A(theta) v."""
-    orders = np.arange(len(harmonics)) - len(harmonics) // 2
-    thetas = np.asarray(thetas, dtype=float)
-    angles = np.asarray(phis, dtype=float)[:, None] - orders * thetas[:, None]
+    phis, thetas = np.asarray(phis, dtype=float), np.asarray(thetas, dtype=float)
     symbols = (lambda rows: symbol_batch(spec, thetas[rows])) if want_points else None
-    return _extreme_eigs(harmonics, angles, symbols)
+    return _extreme_eigs(harmonics, phis, symbols, thetas)
 
 
 def _allowances(harmonics: np.ndarray, rtol: float) -> tuple[float, float]:
@@ -437,7 +471,10 @@ def _certified_maxima(
 
     Requested ``pairs`` are each solved on the whole start grid, so while
     the budget binds none of them, a pair's results do not depend on which
-    other pairs were requested.
+    other pairs were requested, as far as ``rotated_hermitian_parts``
+    rounds a part the same in every batch: with OpenBLAS that holds for
+    K <= 7 harmonics and for d = 2, 4 and 8 (measured up to K = 97), not
+    for d = 1 or 3 with K >= 9.
     """
     half = _solved_count(phi_count)
     targets = 2 if half < phi_count else 1
@@ -457,32 +494,55 @@ def _certified_maxima(
     ends = np.append(grid[1:], TAU)
     width = (ends - grid)[:, None]
     # values[k, i] holds pair k's targets at grid[i]: solved where
-    # ``exact``, elsewhere a wedge bound.
+    # ``exact``, elsewhere a wedge bound.  Only these, the masks and the
+    # per-pair results span the whole start grid; every temporary is taken
+    # for ``_CHUNK_ENTRY_BUDGET`` entries of it at a time.
     values = np.empty((count, theta_count, targets))
     exact = np.zeros((count, theta_count), dtype=bool)
-    exact[::stride] = True
-    k, i = np.nonzero(exact)
-    values[k, i] = evaluate(k, grid[i])
+    blocks = _blocks(count, theta_count * targets)
+
+    def solve(mask):
+        for rows in blocks:
+            k, i = np.nonzero(mask[rows])
+            if k.size:
+                k += rows.start
+                values[k, i], exact[k, i] = evaluate(k, grid[i]), True
+
     need = np.zeros_like(exact)
+    need[::stride] = True
+    solve(need)
+    need[:] = False
     if stride > 1:
         # Direction j of the full circle is pair j % half, target j // half.
         # The rounding allowance also covers the wedge formula's rounding
         # and its amplification of the solved values' rounding.
-        supports = np.moveaxis(values, 2, 0).reshape(phi_count, theta_count)
-        open_, wedge, _, _ = _tangent_wedges(supports, np.tile(exact[:, 0], targets))
-        values[open_ % half, :, open_ // half] = wedge + rounding
+        solved = np.tile(exact[:, 0], targets)
+        for cols in _blocks(theta_count, phi_count):
+            supports = np.moveaxis(values[:, cols], 2, 0).reshape(phi_count, -1)
+            open_, wedge, _, _ = _tangent_wedges(supports, solved)
+            values[open_ % half, cols, open_ // half] = wedge + rounding
+            # Free this block's temporaries before the next block's are built.
+            del supports, wedge
         # Each unsolved pair is solved first where its wedge bounds peak.
-        pending = np.flatnonzero(~exact[:, 0])
-        need[pending[:, None], values[pending].argmax(axis=1)] = True
+        for rows in blocks:
+            pending = np.flatnonzero(~exact[rows, 0]) + rows.start
+            need[pending[:, None], values[pending].argmax(axis=1)] = True
+    best = np.empty((count, targets))
+    winner = np.empty((count, targets), dtype=int)
+    pruned = np.empty((count, targets))
+    live = np.empty_like(exact)
     while True:
-        k, i = np.nonzero(need)
-        if k.size:
-            values[k, i], exact[k, i] = evaluate(k, grid[i]), True
-        masked = np.where(exact[..., None], values, -np.inf)
-        best, winner = masked.max(axis=1), masked.argmax(axis=1)
-        del masked
-        bound = _parabola_bound(values, np.roll(values, -1, axis=1), width, curvature)
-        live = np.any(bound - best[:, None, :] > tolerance, axis=2)
+        solve(need)
+        for rows in blocks:
+            masked = np.where(exact[rows, :, None], values[rows], -np.inf)
+            best[rows], winner[rows] = masked.max(axis=1), masked.argmax(axis=1)
+            bound = _parabola_bound(values[rows], np.roll(values[rows], -1, axis=1),
+                                    width, curvature)
+            live[rows] = np.any(bound - best[rows, None, :] > tolerance, axis=2)
+            # Pruned start intervals go straight into the bounds; only live
+            # ones become interval rows.
+            pruned[rows] = np.max(np.where(live[rows, :, None], -np.inf, bound), axis=1)
+            del masked, bound
         # Both ends of a live interval must be solved before it is split.
         need = ~exact & (live | np.roll(live, 1, axis=1))
         if not np.any(need):
@@ -497,24 +557,28 @@ def _certified_maxima(
         -width[below, 0], np.where(exact[rows, below], values[rows, below, cols], np.nan),
         width[winner, 0], np.where(exact[rows, above], values[rows, above, cols], np.nan),
     ], axis=-1)
-    # Pruned start intervals go straight into the bounds; only live ones
-    # become interval rows.
-    upper = np.maximum(best, np.max(np.where(live[..., None], -np.inf, bound), axis=1))
+    upper = np.maximum(best, pruned)
     k, i = np.nonzero(live)
     a, b = grid[i], ends[i]
     va, vb = values[k, i], values[k, (i + 1) % theta_count]
-    del values, bound
+    del values, i
     budget = REFINE_BUDGET
     while k.size:
-        bound = _parabola_bound(va, vb, (b - a)[:, None], curvature)
-        gain = np.max(bound - best[k], axis=1)
+        bound, gain = np.empty_like(va), np.empty(k.size)
+        for rows in _blocks(k.size, targets):
+            bound[rows] = _parabola_bound(va[rows], vb[rows], (b[rows] - a[rows])[:, None],
+                                          curvature)
+            gain[rows] = np.max(bound[rows] - best[k[rows]], axis=1)
         split = gain > tolerance
         if np.count_nonzero(split) > budget:
             # Best first: only the intervals whose bound exceeds the best
             # value the most are bisected; the others keep their bounds.
             split = np.zeros_like(split)
             split[np.argsort(-gain, kind="stable")[:budget]] = True
-        np.maximum.at(upper, k[~split], bound[~split])
+        for rows in _blocks(k.size, targets):
+            done = ~split[rows]
+            np.maximum.at(upper, k[rows][done], bound[rows][done])
+        del bound, gain
         k, a, b, va, vb = (column[split] for column in (k, a, b, va, vb))
         budget -= k.size
         if not k.size:
@@ -524,13 +588,15 @@ def _certified_maxima(
         for t in range(targets):
             top = np.full(count, -np.inf)
             np.maximum.at(top, k, vm[:, t])
-            won = (vm[:, t] == top[k]) & (top[k] > best[k, t])
+            won = np.flatnonzero((vm[:, t] == top[k]) & (top[k] > best[k, t]))
             best_theta[k[won], t] = mid[won]
-            around[k[won], t] = np.column_stack([a - mid, va[:, t], b - mid, vb[:, t]])[won]
+            around[k[won], t] = np.column_stack(
+                [a[won] - mid[won], va[won, t], b[won] - mid[won], vb[won, t]])
             best[:, t] = np.maximum(best[:, t], top)
         k = np.concatenate([k, k])
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+        del mid, vm
     # The vertex of the parabola through the best value and its two solved
     # neighbours, best + beta h + gamma h^2; it is concave (gamma < 0)
     # unless all three values are equal.
@@ -649,7 +715,7 @@ def selfadjoint_interval(
         raise ValueError("theta_count must be >= 1")
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
-    _check_sweep_size(spec.period, theta_count, 0)
+    _check_sweep_size(spec.period, theta_count, 2)
     _, upper = _certified_maxima(spec, theta_count, 2)
     return -float(upper[0, 1]), float(upper[0, 0])
 
@@ -677,9 +743,10 @@ def truncation_inclusion_check(
     candidate only while its solved or wedge support minus U_j, or minus
     that floor while U_j is not yet known, reaches the best excess among
     directions whose U_j is known, less a rounding margin.  Candidate gaps
-    are bisected and candidate pairs certified (each at most once; while no
-    excess is known, only the pair of the largest candidate) until none is
-    left; the result equals the maximum over every direction.
+    are bisected and candidate pairs certified (the largest candidate's
+    pair first, each pair at most once per report and spec, which keeps
+    their bounds for later checks) until none is left; the result equals
+    the maximum over every direction.
     """
     phi_count = report.phi_count
     upper = np.asarray(report.upper, dtype=float)
@@ -688,12 +755,16 @@ def truncation_inclusion_check(
     t_n = truncation(spec, n_rows)
     margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
     half = _solved_count(phi_count)
-    tolerance, rounding = _allowances(symbol_harmonics(spec), SUPPORT_RTOL)
+    harmonics = symbol_harmonics(spec)
+    tolerance, rounding = _allowances(harmonics, SUPPORT_RTOL)
+    certified = report._certified.setdefault((harmonics.shape, harmonics.tobytes()), {})
     attained = report.samples[:, 0]
     # bound[j] is U_j where ``known``, elsewhere the floor attained_j - rounding.
     fine = upper - attained <= tolerance + 2.0 * rounding
     known = fine | (report.support_rtol <= SUPPORT_RTOL)
     bound = np.where(known, upper, attained - rounding)
+    for j, alone in certified.items():
+        bound[j], known[j] = alone, True
     supports = np.zeros(phi_count)
     solved = np.zeros(phi_count, dtype=bool)
     new = np.arange(0, half, 8)
@@ -708,8 +779,9 @@ def truncation_inclusion_check(
         excess[open_] = wedge - bound[open_]
         reach = ~exact & (excess >= best - margin)
         loose = reach & solved
-        if best == -np.inf:
-            # No excess is known yet: the largest candidate goes first.
+        if loose.any():
+            # One pair at a time, the largest candidate's first: its bound
+            # may raise the best excess past the other candidates.
             loose &= excess == np.max(excess[loose])
         pick = np.zeros(half, dtype=bool)
         pick[np.flatnonzero(loose) % half] = True
@@ -720,6 +792,7 @@ def truncation_inclusion_check(
             _, alone = _certified_maxima(spec, report.theta_count, phi_count, pairs)
             directions = pairs[:, None] + half * np.arange(alone.shape[1])
             bound[directions], known[directions] = alone, True
+            certified.update(zip(directions.ravel().tolist(), alone.ravel().tolist()))
             new = pairs[:0]
             continue
         ends = reach[open_]

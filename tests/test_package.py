@@ -51,7 +51,8 @@ def test_decompositions_go_through_the_linalg_facade():
 def test_ranges_solves_only_in_extreme_eigs():
     """In ``ranges.py`` ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` appear
     only as the solver handed to ``linalg.lapack`` inside ``_extreme_eigs``,
-    the one chunked Hermitian solve."""
+    the one chunked Hermitian solve, and ``rotated_hermitian_parts`` is
+    called only there, so no other code builds a stack of parts."""
     path = pathlib.Path(toeprange.__file__).parent / "ranges.py"
     tree = ast.parse(path.read_text(), str(path))
     (solve,) = [
@@ -75,3 +76,12 @@ def test_ranges_solves_only_in_extreme_eigs():
     for node in named:
         assert id(node) in handed, f"ranges.py:{node.lineno} names np.linalg.{node.attr}"
         assert ast.unparse(node) == f"np.linalg.{node.attr}"
+    inside = {id(node) for node in ast.walk(solve)}
+    builders = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "rotated_hermitian_parts"
+        or isinstance(node, ast.Attribute) and node.attr == "rotated_hermitian_parts"
+    ]
+    assert builders
+    for node in builders:
+        assert id(node) in inside, f"ranges.py:{node.lineno} names rotated_hermitian_parts"

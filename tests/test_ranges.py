@@ -1,17 +1,19 @@
 """Support sweeps, convex hulls, and range assembly."""
 
+import argparse
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import grid_supports, random_complex_matrix, random_unit_vector
-from toeprange import ranges
+from toeprange import cli, ranges
 from toeprange.operators import (
     TAU,
     PeriodicBandedSpec,
@@ -48,6 +50,17 @@ from toeprange.ranges import (
 SELFADJOINT_PERIOD3 = os.path.join(
     os.path.dirname(__file__), "..", "specs", "selfadjoint_period3.json"
 )
+
+
+def svg_overlays(name, overlay_count, phi_count):
+    """``range --format svg`` of ``specs/<name>.json`` with ``overlay_count``
+    symbol-range overlays, over a 16-angle sweep so that they dominate."""
+    path = os.path.join(os.path.dirname(__file__), "..", "specs", f"{name}.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        cli.cmd_range(argparse.Namespace(
+            spec=path, format="svg", theta_count=16, phi_count=phi_count,
+            overlay_thetas=overlay_count, out=os.path.join(tmp, "range.svg"),
+        ))
 
 
 def uniform_sweep(spec, theta_count, phi_count):
@@ -108,6 +121,32 @@ def support_function(a, phi: float) -> tuple[float, tuple[float, float]]:
     top = vectors[:, -1]
     z = complex(np.vdot(top, m @ top))
     return float(values[-1]), (z.real, z.imag)
+
+
+def fejer_spec(peak: float, order: int = 24) -> PeriodicBandedSpec:
+    """Period-1 scalar symbol sum_r (1 - |r|/(order + 1)) e^{ir(theta - peak)},
+    the Fejer kernel: real, at least 0, with one sharp maximum order + 1 at
+    ``peak``."""
+    diagonals = {
+        r: [(1.0 - abs(r) / (order + 1)) * np.exp(-1j * r * peak)]
+        for r in range(-order, order + 1)
+    }
+    return PeriodicBandedSpec(1, order, diagonals)
+
+
+def rotated(spec: PeriodicBandedSpec, angle: float) -> PeriodicBandedSpec:
+    """The spec times e^{i angle}: its range turned by ``angle``."""
+    diagonals = {r: np.exp(1j * angle) * seq for r, seq in spec.diagonals.items()}
+    return PeriodicBandedSpec(spec.period, spec.band, diagonals)
+
+
+PERIOD8 = random_spec(np.random.default_rng(0), 8, 4)
+# The symbol [[0, e^{-i theta}], [e^{i theta}, 0]] has eigenvalues +-1 at
+# every theta, so no interval ever meets the tolerance.
+THETA_FLAT = PeriodicBandedSpec(2, 1, {1: [0.0, 1.0], -1: [1.0, 0.0]})
+# Peak value 25 between two start angles in direction 3 of 360: its sharp
+# peak spends the whole REFINE_BUDGET.
+ROTATED_FEJER = rotated(fejer_spec(TAU * 0.5 / 16), TAU * 3 / 360)
 
 
 class TestSupportFunction:
@@ -509,10 +548,17 @@ class TestOperatorRange:
             # the row formatting the second.
             (flat_table, counterexample_spec(), 300, 300),
             (flat_table, random_spec(np.random.default_rng(0), 8, 4), 90, 72),
-            # The start grid's values and bounds dominate the first, a 4 MiB
-            # stack of Hermitian parts the second.
+            # The start grid's values dominate the first, the eigensolve
+            # chunks the second, the bisection's intervals the Fejer cases
+            # and the odd grid of the theta-flat symbol, one target each
+            # and more intervals than 2 * REFINE_BUDGET.
             (operator_range, counterexample_spec(), 360, 360),
-            (operator_range, random_spec(np.random.default_rng(0), 8, 4), 90, 720),
+            (operator_range, PERIOD8, 90, 720),
+            (operator_range, ROTATED_FEJER, 16, 360),
+            (operator_range, ROTATED_FEJER, 90, 720),
+            (operator_range, THETA_FLAT, 600, 1001),
+            # The overlays' vertices and path text, over 140 x 360 samples.
+            (svg_overlays, "counterexample", 140, 360),
         ],
     )
     def test_size_check_charges_the_peak(self, monkeypatch, sweep, spec, theta_count, phi_count):
@@ -522,10 +568,38 @@ class TestOperatorRange:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The estimate is at least the peak: a cap one byte below refuses it.
+        # The estimate is at least the peak: a cap one byte below refuses it,
+        # by the check of this sweep's own grid.
         monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", peak - 1)
-        with pytest.raises(ValueError, match="cap"):
+        grid = f"over {theta_count} symbol angles and {phi_count} directions .* cap"
+        with pytest.raises(ValueError, match=grid):
             sweep(spec, theta_count, phi_count)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: operator_range(PERIOD8, 90, 720),
+            lambda: truncation_inclusion_check(
+                PERIOD8, 124, operator_range(PERIOD8, 90, 720, support_rtol=1e-4)),
+            lambda: operator_range(ROTATED_FEJER, 16, 360),
+        ],
+        ids=["period8", "truncation124", "fejer"],
+    )
+    def test_hermitian_parts_stay_within_the_chunk_budget(self, monkeypatch, run):
+        # Each call builds at most _CHUNK_ENTRY_BUDGET // max(d^2, 2K) parts
+        # of a (K, d, d) basis, or of one (d, d) matrix (K = 1).
+        calls, parts = [], ranges.rotated_hermitian_parts
+
+        def recording(basis, angles):
+            shape = np.shape(basis)
+            terms = shape[0] if len(shape) == 3 else 1
+            width = max(shape[-1] ** 2, 2 * terms)
+            calls.append((len(angles), ranges._CHUNK_ENTRY_BUDGET // width))
+            return parts(basis, angles)
+
+        monkeypatch.setattr(ranges, "rotated_hermitian_parts", recording)
+        run()
+        assert calls and all(rows <= limit for rows, limit in calls)
 
 
 class TestSelfadjointInterval:
@@ -692,23 +766,6 @@ class TestRangeReport:
         assert report.residual_summary["support_attainment_gap"] <= 1e-9
 
 
-def fejer_spec(peak: float, order: int = 24) -> PeriodicBandedSpec:
-    """Period-1 scalar symbol sum_r (1 - |r|/(order + 1)) e^{ir(theta - peak)},
-    the Fejer kernel: real, at least 0, with one sharp maximum order + 1 at
-    ``peak``."""
-    diagonals = {
-        r: [(1.0 - abs(r) / (order + 1)) * np.exp(-1j * r * peak)]
-        for r in range(-order, order + 1)
-    }
-    return PeriodicBandedSpec(1, order, diagonals)
-
-
-def rotated(spec: PeriodicBandedSpec, angle: float) -> PeriodicBandedSpec:
-    """The spec times e^{i angle}: its range turned by ``angle``."""
-    diagonals = {r: np.exp(1j * angle) * seq for r, seq in spec.diagonals.items()}
-    return PeriodicBandedSpec(spec.period, spec.band, diagonals)
-
-
 class TestCurvature:
     def test_bounds_sampled_second_derivatives(self):
         # g(theta) = v* Re(e^{-i phi} A(theta)) v has g'' = -sum_u u^2
@@ -775,9 +832,7 @@ class TestCertifiedSupports:
         assert np.all(theta_reference(spec, 8) <= report.upper)
 
     def test_theta_flat_symbol_stays_within_the_budget(self, monkeypatch):
-        # The symbol [[0, e^{-i theta}], [e^{i theta}, 0]] has eigenvalues +-1
-        # at every theta, so no interval ever meets the tolerance.
-        spec = PeriodicBandedSpec(2, 1, {1: [0.0, 1.0], -1: [1.0, 0.0]})
+        spec = THETA_FLAT
         solved = []
 
         def counting(h):
@@ -852,9 +907,6 @@ class TestCertifiedSupports:
         doc = operator_range(counterexample_spec(), 4, 8).to_dict()
         with pytest.raises(ValueError, match="upper bounds"):
             truncation_inclusion_check(counterexample_spec(), 6, RangeReport.from_dict(doc))
-
-
-PERIOD8 = random_spec(np.random.default_rng(0), 8, 4)
 
 
 class TestCertifiedSubsets:
@@ -936,10 +988,34 @@ class TestScreenedInclusionCheck:
 
         monkeypatch.setattr(ranges, "_certified_maxima", counting)
         for n in (28, 60, 124):
-            requested.clear()
             truncation_inclusion_check(PERIOD8, n, report)
-            # Each pair at most once per call, and only a few of 360.
-            assert 0 < len(requested) == len(set(requested)) <= 8
+        # Each pair at most once across the three checks of one report, and
+        # only a few of 360.
+        assert 0 < len(requested) == len(set(requested)) <= 8
+
+    def test_ledger_is_kept_per_spec(self, monkeypatch):
+        # A report checked against a second spec certifies that spec's own
+        # bounds: doubling the symbol doubles every bound, so the check
+        # requests the same pairs, and returns the same excess, as on a
+        # report no other spec was checked against.
+        doubled = PeriodicBandedSpec(
+            PERIOD8.period, PERIOD8.band, {r: 2 * seq for r, seq in PERIOD8.diagonals.items()})
+        fresh, report = (operator_range(PERIOD8, 90, 720, support_rtol=1e-4) for _ in range(2))
+        truncation_inclusion_check(PERIOD8, 60, report)
+        certify, requested = ranges._certified_maxima, []
+
+        def counting(spec, theta_count, phi_count, pairs):
+            requested.extend(pairs)
+            return certify(spec, theta_count, phi_count, pairs)
+
+        monkeypatch.setattr(ranges, "_certified_maxima", counting)
+
+        def check(report):
+            requested.clear()
+            return truncation_inclusion_check(doubled, 60, report), list(requested)
+
+        expected = check(fresh)
+        assert expected[1] and check(report) == expected
 
     def test_numpy_ma_is_not_imported(self):
         # np.unique and np.setdiff1d import numpy.ma, which costs more start-up
