@@ -72,11 +72,10 @@ FORMATS = ("report-doc", "flat-table", "svg")
 # the printed excess is taken against.
 _SCREEN_RTOL = 1e-4
 # Bytes per overlay sample (theta x phi) of an SVG, whose symbol ranges run
-# no bisection: the hull vertices and their stacked copy in
-# ``svg.range_figure`` (16 each), and the path text, 24 characters a vertex,
-# held three times (the pieces, their join, and the join with its final
-# newline).  Measured: 96-107 bytes per sample.
-_OVERLAY_SAMPLE_BYTES = 112
+# no bisection: the hull vertices (16), and the path text, 24 characters a
+# vertex, held twice (the pieces and their join in ``svg.range_figure``).
+# Measured: 65-67 bytes per sample.
+_OVERLAY_SAMPLE_BYTES = 72
 
 
 class OutputError(RuntimeError):

@@ -19,7 +19,8 @@ between polygon and closure.
 
 Direction grids are uniform, ``phi_j = 2*pi*j/P``.  For even ``P`` one
 Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
-(top and negated bottom eigenvalue), so half the directions are solved.
+(top and negated bottom eigenvalue), so the sweeps in ``theta`` solve half
+the directions; a boundary point is one top eigenpair at its own direction.
 """
 
 from __future__ import annotations
@@ -111,15 +112,6 @@ class ConvexPolygon:
         phis = np.atleast_1d(np.asarray(phis, dtype=float))
         directions = np.stack([np.cos(phis), np.sin(phis)], axis=0)
         return np.max(self.vertices @ directions, axis=0)
-
-    def diameter(self) -> float:
-        """Largest distance between two vertices, taken 64 vertex rows at a
-        time so no temporary grows with the square of the vertex count."""
-        x, y = self.vertices.T
-        return max(
-            float(np.max(np.hypot(x[i : i + 64, None] - x, y[i : i + 64, None] - y)))
-            for i in range(0, x.shape[0], 64)
-        )
 
     def violation(self, points):
         """Signed Euclidean distance to the region: the distance to the
@@ -332,7 +324,7 @@ def _extreme_eigs(basis, angles, matrices=None, thetas=None):
     return values, points
 
 
-def _check_counts(theta_count: int, phi_count: int) -> None:
+def _check_counts(theta_count: int = 1, phi_count: int = 3) -> None:
     if theta_count < 1:
         raise ValueError("theta_count must be >= 1")
     if phi_count < 3:
@@ -367,8 +359,7 @@ def _check_sweep_size(
 
 def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
     """Inner polygonal approximation of W(A) from a uniform support sweep."""
-    if phi_count < 3:
-        raise ValueError("phi_count must be >= 3")
+    _check_counts(phi_count=phi_count)
     m = as_matrix(a)
     pairs = np.arange(_solved_count(phi_count))
     solved = _extreme_eigs(m, TAU * pairs / phi_count, lambda rows: m)
@@ -391,15 +382,6 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
         solved = _extreme_eigs(mat, TAU * pairs / phi_count, lambda rows: mat)
         _, row[:, 0], row[:, 1:] = _antipodes(pairs, phi_count, *solved)
     return _table_text(sweep.reshape(-1, 3), theta_count, phi_count)
-
-
-def _symbol_solve(spec: PeriodicBandedSpec, harmonics, phis, thetas, want_points=False):
-    """``_extreme_eigs`` of Re(e^{-i phi_i} A(theta_i)) for paired rows of
-    ``phis`` and ``thetas``: the spec's ``harmonics`` A_u at psi_u = phi -
-    u theta, and with ``want_points`` the Rayleigh values v* A(theta) v."""
-    phis, thetas = np.asarray(phis, dtype=float), np.asarray(thetas, dtype=float)
-    symbols = (lambda rows: symbol_batch(spec, thetas[rows])) if want_points else None
-    return _extreme_eigs(harmonics, phis, symbols, thetas)
 
 
 def _allowances(harmonics: np.ndarray, rtol: float) -> tuple[float, float]:
@@ -487,7 +469,7 @@ def _certified_maxima(
     tolerance, rounding = _allowances(harmonics, rtol)
 
     def evaluate(rows, thetas):
-        values, _ = _symbol_solve(spec, harmonics, phis[rows], thetas)
+        values, _ = _extreme_eigs(harmonics, phis[rows], thetas=thetas)
         return _antipodes(pairs[rows], phi_count, values)[1].reshape(targets, -1).T
 
     grid = TAU * np.arange(theta_count) / theta_count
@@ -663,24 +645,20 @@ def operator_range(
     the segment [p_j, p_{j+1}] bounds every point's distance."""
     _check_counts(theta_count, phi_count)
     _check_sweep_size(spec.period, theta_count, phi_count)
-    half = _solved_count(phi_count)
     best_theta, upper = _certified_maxima(spec, theta_count, phi_count, rtol=support_rtol)
 
-    # One eigh per direction at its best theta: direction j < half takes
-    # the top eigenpair of pair j, direction j + half the bottom one.
-    pairs = np.tile(np.arange(half), upper.shape[1])
-    values, points = _symbol_solve(
-        spec, symbol_harmonics(spec), TAU * pairs / phi_count, best_theta.T.ravel(),
-        want_points=True,
-    )
-    top = np.arange(phi_count) < half
-    point = np.where(top, points[:, 1], points[:, 0])
-    support = np.where(top, values[:, 1], -values[:, 0])
+    # One eigh per direction at its own angle and best theta (direction
+    # j < P/2 is target 0 of pair j, j >= P/2 target 1 of pair j - P/2);
+    # its top eigenpair gives the support and the boundary point.
+    angles = TAU * np.arange(phi_count) / phi_count
+    thetas = best_theta.T.ravel()
+    values, points = _extreme_eigs(
+        symbol_harmonics(spec), angles, lambda rows: symbol_batch(spec, thetas[rows]), thetas)
+    support, point = values[:, 1], points[:, 1]
     samples = np.column_stack([support, point.real, point.imag])
     upper = upper.T.ravel()
     polygon = convex_hull(samples[:, 1:])
 
-    angles = TAU * np.arange(phi_count) / phi_count
     c, s = np.cos(angles), np.sin(angles)
     c1, s1, u1 = np.roll(c, -1), np.roll(s, -1), np.roll(upper, -1)
     det = c * s1 - s * c1
@@ -711,8 +689,7 @@ def selfadjoint_interval(
     its certified supports in the directions pi and 0 (``_certified_maxima``
     from a start grid of ``theta_count`` angles), which bound the symbol's
     extreme eigenvalues over every theta."""
-    if theta_count < 1:
-        raise ValueError("theta_count must be >= 1")
+    _check_counts(theta_count)
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
     _check_sweep_size(spec.period, theta_count, 2)

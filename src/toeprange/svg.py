@@ -33,9 +33,9 @@ def range_figure(polygon_vertices, overlays=()) -> str:
     is shorter than a tenth of the other.
     """
     main = np.asarray(polygon_vertices, dtype=float)
-    groups = [np.asarray(v, dtype=float) for _, v in overlays]
-    stacked = np.vstack([main] + groups) if groups else main
-    low, high = stacked.min(axis=0), stacked.max(axis=0)
+    groups = [main] + [np.asarray(v, dtype=float) for _, v in overlays]
+    low = np.min([g.min(axis=0) for g in groups], axis=0)
+    high = np.max([g.max(axis=0) for g in groups], axis=0)
     # A segment or point has a zero span; floor each span relative to the
     # larger one so the view box keeps a visible height and width.
     span = np.maximum(high - low, MIN_SPAN_FRACTION * max(np.max(high - low), 1e-9))
@@ -52,8 +52,7 @@ def range_figure(polygon_vertices, overlays=()) -> str:
         f'viewBox="0 0 {_fmt((xmax - xmin) * scale)} {_fmt((ymax - ymin) * scale)}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for label, vertices in overlays:
-        vertices = np.asarray(vertices, dtype=float)
+    for (label, _), vertices in zip(overlays, groups[1:]):
         if vertices.shape[0] == 1:
             px, py = transform(*vertices[0])
             parts.append(
@@ -75,4 +74,4 @@ def range_figure(polygon_vertices, overlays=()) -> str:
             'fill="none" stroke="red" stroke-width="1.5"/>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts + [""])

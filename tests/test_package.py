@@ -85,3 +85,58 @@ def test_ranges_solves_only_in_extreme_eigs():
     assert builders
     for node in builders:
         assert id(node) in inside, f"ranges.py:{node.lineno} names rotated_hermitian_parts"
+
+
+def test_only_antipodes_reads_bottom_eigenpairs():
+    """In ``ranges.py`` only ``_antipodes`` reads column 0, the bottom
+    eigenpair, of what ``_extreme_eigs`` returns, so the rule that negates it
+    for the antipodal direction is written once.  A function returning an
+    ``_extreme_eigs(...)`` call counts as a source too, and a name counts
+    where its own function assigns it from a source call."""
+    path = pathlib.Path(toeprange.__file__).parent / "ranges.py"
+    tree = ast.parse(path.read_text(), str(path))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def own_nodes(function):
+        # The function's nodes, without those of functions nested in it.
+        stack = list(ast.iter_child_nodes(function))
+        while stack:
+            node = stack.pop()
+            if not isinstance(node, ast.FunctionDef):
+                yield node
+                stack.extend(ast.iter_child_nodes(node))
+
+    def calls(node, names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in names)
+
+    sources = {"_extreme_eigs"}
+    while True:
+        wrappers = {
+            function.name for function in functions
+            if any(isinstance(node, ast.Return) and calls(node.value, sources)
+                   for node in own_nodes(function))
+        }
+        if wrappers <= sources:
+            break
+        sources |= wrappers
+    offenders, assigned = [], 0
+    for function in functions:
+        names = {
+            target.id
+            for node in own_nodes(function)
+            if isinstance(node, ast.Assign) and calls(node.value, sources)
+            for target in ast.walk(node.targets[0]) if isinstance(target, ast.Name)
+        }
+        assigned += len(names)
+        offenders += [
+            f"ranges.py:{node.lineno} {function.name} reads {ast.unparse(node)}"
+            for node in own_nodes(function)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id in names
+            and isinstance(node.slice, ast.Tuple) and len(node.slice.elts) >= 2
+            and isinstance(node.slice.elts[1], ast.Constant) and node.slice.elts[1].value == 0
+            and function.name != "_antipodes"
+        ]
+    assert assigned
+    assert offenders == []

@@ -362,22 +362,6 @@ class TestViolation:
         assert point.violation((4.0, 3.0)) == 5.0
 
 
-class TestDiameter:
-    def test_exact_on_many_vertices(self):
-        # A thin ellipse with 300 vertices, more than four blocks of rows,
-        # tilted by pi/720; its diameter 2 sits between vertices 0 and 150.
-        t = TAU * np.arange(300) / 300
-        x, y = np.cos(t), 1e-3 * np.sin(t)
-        a = math.pi / 720
-        vertices = np.stack(
-            [x * math.cos(a) - y * math.sin(a), x * math.sin(a) + y * math.cos(a)], axis=1
-        )
-        diffs = vertices[:, None, :] - vertices[None, :, :]
-        exact = float(np.max(np.hypot(diffs[..., 0], diffs[..., 1])))
-        got = ConvexPolygon(vertices).diameter()
-        assert abs(got - exact) <= 4 * np.finfo(float).eps * exact
-
-
 class TestOperatorRange:
     def test_counterexample_vertices_on_quartic(self):
         from toeprange.curves import boundary_quartic, evaluate_form
