@@ -24,7 +24,6 @@ import numpy as np
 
 from . import svg
 from .curves import (
-    NonrepresentabilityReport,
     _check_direction_count,
     boundary_quartic,
     dual_quartic,
@@ -50,7 +49,6 @@ from .operators import (
 )
 from .ranges import (
     THETA_START,
-    RangeReport,
     _check_sweep_size,
     flat_table,
     matrix_numerical_range,
@@ -266,16 +264,6 @@ def counterexample_doc(
         ]
     )
     return doc, summary
-
-
-def parse_counterexample_doc(doc: dict) -> tuple[RangeReport, NonrepresentabilityReport]:
-    """Round-trip parser for the counterexample report document."""
-    if doc.get("kind") != "counterexample-report":
-        raise ValueError("not a counterexample-report document")
-    return (
-        RangeReport.from_dict(doc["range_report"]),
-        NonrepresentabilityReport.from_dict(doc["nonrepresentability"]),
-    )
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:

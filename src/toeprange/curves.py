@@ -71,31 +71,10 @@ class TernaryForm:
         records = [[*e, self.coefficients[e]] for e in sorted(self.coefficients)]
         return {"degree": self.degree, "records": records}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TernaryForm":
-        coefficients = {(i, j, k): c for i, j, k, c in doc["records"]}
-        return cls(degree=int(doc["degree"]), coefficients=coefficients)
-
-
-def _power(v: float, n: int) -> float:
-    """``v ** n`` as numpy computes it for a float array: it squares for
-    n = 2 and runs its own power loop above, which libm's pow does not
-    always match in the last bit."""
-    if n <= 2:
-        return 1.0 if n == 0 else v if n == 1 else v * v
-    return float(np.asarray(v) ** n)
-
 
 def evaluate_form(form: TernaryForm, t, x, y):
-    """Evaluate a form; broadcasts over array arguments.  Three scalars take
-    a Python-float path with the same operations in the same order, so its
-    value equals the array path's bit for bit."""
-    if all(isinstance(v, (int, float)) for v in (t, x, y)):
-        t, x, y = float(t), float(x), float(y)
-        value = 0.0
-        for (i, j, k), coeff in form.coefficients.items():
-            value = value + coeff * _power(t, i) * _power(x, j) * _power(y, k)
-        return value
+    """Evaluate a form; broadcasts over array arguments, and three scalars
+    give a float."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -334,23 +313,6 @@ class HyperbolicityVerdict:
             ),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "HyperbolicityVerdict":
-        roots = doc.get("witness_roots")
-        return cls(
-            hyperbolic=bool(doc["hyperbolic"]),
-            max_imag=float(doc["max_imag"]),
-            direction_count=int(doc["direction_count"]),
-            tol=float(doc["tol"]),
-            witness_theta=doc.get("witness_theta"),
-            witness_direction=(
-                tuple(doc["witness_direction"]) if doc.get("witness_direction") else None
-            ),
-            witness_roots=(
-                np.array([complex(re, im) for re, im in roots]) if roots else None
-            ),
-        )
-
 
 def _check_direction_count(direction_count: int, degree: int) -> None:
     """Refuse fewer than one direction, or more than ``SWEEP_BYTE_CAP`` bytes of
@@ -458,21 +420,6 @@ class NonrepresentabilityReport:
             "witness_real_count": self.witness_real_count,
             "conclusion": self.conclusion,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NonrepresentabilityReport":
-        if doc.get("kind") != "nonrepresentability-report":
-            raise ValueError("not a nonrepresentability-report document")
-        return cls(
-            quartic=TernaryForm.from_dict(doc["quartic"]),
-            dual=TernaryForm.from_dict(doc["dual"]),
-            duality_samples=int(doc["duality_samples"]),
-            duality_max_residual=float(doc["duality_max_residual"]),
-            verdict=HyperbolicityVerdict.from_dict(doc["verdict"]),
-            witness_restriction=[float(c) for c in doc["witness_restriction"]],
-            witness_real_count=int(doc["witness_real_count"]),
-            conclusion=str(doc["conclusion"]),
-        )
 
 
 def nonrepresentability_report(

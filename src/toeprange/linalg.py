@@ -57,24 +57,40 @@ def rotated_hermitian_parts(basis, angles) -> np.ndarray:
     function in direction phi; entry (j, k) of a part is the conjugate of
     entry (k, j).
     """
-    b = np.asarray(basis, dtype=complex)
     psi = np.asarray(angles, dtype=float)
-    if b.ndim == 2:
-        b, psi = b[None], psi[..., None]
-    if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {b.shape}")
-    k, d, _ = b.shape
-    if psi.ndim != 2 or psi.shape[1] != k:
+    terms = _hermitian_terms(basis)
+    if np.ndim(basis) == 2:
+        psi = psi[..., None]
+    if psi.ndim != 2 or psi.shape[1] != len(terms):
         raise ValueError(
             f"angles of shape {np.shape(angles)} do not fit a basis of shape {np.shape(basis)}"
         )
-    # Built in place: a chunked solve calls this once per chunk, so each
-    # temporary stack costs fresh pages every time.
+    return _rotated_parts(terms, psi)
+
+
+def _hermitian_terms(basis) -> np.ndarray:
+    """The basis step of ``rotated_hermitian_parts``: the stack
+    [Re B_k; Im B_k], shape (K, 2, d, d), of a basis (K, d, d) or of one
+    matrix (d, d).  A chunked solve builds it once for all its chunks."""
+    b = np.asarray(basis, dtype=complex)
+    if b.ndim == 2:
+        b = b[None]
+    if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {b.shape}")
+    k, d, _ = b.shape
     adjoint = np.conj(np.swapaxes(b, -1, -2))
     terms = np.empty((k, 2, d, d), dtype=complex)
     np.multiply(0.5, np.add(b, adjoint, out=terms[:, 0]), out=terms[:, 0])
     np.multiply(-0.5j, np.subtract(b, adjoint, out=terms[:, 1]), out=terms[:, 1])
-    rows = np.stack([np.cos(psi), np.sin(psi)], axis=2).reshape(len(psi), 2 * k)
+    return terms
+
+
+def _rotated_parts(terms: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """The product step of ``rotated_hermitian_parts``: the (n, d, d) parts
+    of a ``_hermitian_terms`` stack at the n rows of angles ``psi`` (n, K),
+    or (n,) when K = 1."""
+    k, d, n = len(terms), terms.shape[-1], len(psi)
+    rows = np.stack([np.cos(psi), np.sin(psi)], axis=-1).reshape(n, 2 * k)
     # numpy hands a one-row product to gemv, whose rounding differs from
     # gemm's, so a single row is computed twice to round like a batch.
     # Whether gemm rounds a row the same in every batch depends on the BLAS
@@ -82,9 +98,9 @@ def rotated_hermitian_parts(basis, angles) -> np.ndarray:
     # for d = 2, 4 and 8 up to K = 97, but not for d = 1 or 3 with K >= 9
     # (for the K = 49, d = 1 Fejer basis ~1,200 of 5,000 rows differ bitwise
     # between one call and batches of 7).
-    parts = np.repeat(rows, 2, axis=0) if len(rows) == 1 else rows
+    parts = np.repeat(rows, 2, axis=0) if n == 1 else rows
     parts = parts @ terms.reshape(2 * k, d * d).view(float)
-    return parts[: len(rows)].view(complex).reshape(len(rows), d, d)
+    return parts[:n].view(complex).reshape(n, d, d)
 
 
 def lapack(solver, *args, **kwargs):

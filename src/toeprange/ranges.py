@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, max_norm, rotated_hermitian_parts
+from .linalg import as_matrix, max_norm
 from .operators import (
     TAU,
     PeriodicBandedSpec,
@@ -158,8 +158,8 @@ class RangeReport:
     samples: np.ndarray
     theta_count: int
     phi_count: int
-    residual_summary: dict[str, float] = field(default_factory=dict)
-    upper: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    residual_summary: dict[str, float]
+    upper: np.ndarray
     support_rtol: float = SUPPORT_RTOL
     # Bounds ``truncation_inclusion_check`` certified at SUPPORT_RTOL, by the
     # spec's harmonics (shape and bytes) and then by direction, so each
@@ -177,20 +177,6 @@ class RangeReport:
             "residual_summary": {k: float(v) for k, v in self.residual_summary.items()},
             "polygon": self.polygon.vertices.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "RangeReport":
-        """Report read back from ``to_dict``; its ``samples`` and ``upper``
-        are empty."""
-        if doc.get("kind") != "range-report":
-            raise ValueError("not a range-report document")
-        return cls(
-            polygon=ConvexPolygon(np.asarray(doc["polygon"], dtype=float)),
-            samples=np.zeros((0, 3)),
-            theta_count=int(doc["theta_count"]),
-            phi_count=int(doc["phi_count"]),
-            residual_summary=dict(doc["residual_summary"]),
-        )
 
 
 def _table_text(samples: np.ndarray, theta_count: int, phi_count: int) -> str:
@@ -297,20 +283,20 @@ def _extreme_eigs(basis, angles, matrices=None, thetas=None):
     ``thetas`` the basis holds harmonics A_u, u = -(K // 2), ..., K // 2,
     and row i's angles are psi_u = angles[i] - u thetas[i].
 
-    This is where eigensolve memory is sized: a chunk of
-    ``_CHUNK_ENTRY_BUDGET // max(d^2, 2K)`` rows is built and solved at a
-    time, so its angle, cosine and sine tables and its Hermitian parts each
-    stay within ``_CHUNK_ENTRY_BUDGET`` entries (one matrix at a time when
-    a single one is larger)."""
-    shape = np.shape(basis)
-    terms = shape[0] if len(shape) == 3 else 1
+    This is where eigensolve memory is sized: the basis's [Re B_k; Im B_k]
+    stack is built once, then a chunk of ``_CHUNK_ENTRY_BUDGET // max(d^2,
+    2K)`` rows is built and solved at a time, so its angle, cosine and sine
+    tables and its Hermitian parts each stay within ``_CHUNK_ENTRY_BUDGET``
+    entries (one matrix at a time when a single one is larger)."""
+    stack = linalg._hermitian_terms(basis)
+    terms, d = len(stack), stack.shape[-1]
     orders = np.arange(terms) - terms // 2
     n = len(angles)
     values = np.empty((n, 2))
     points = None if matrices is None else np.empty((n, 2), dtype=complex)
-    for rows in _blocks(n, max(shape[-1] ** 2, 2 * terms)):
+    for rows in _blocks(n, max(d * d, 2 * terms)):
         psi = angles[rows] if thetas is None else angles[rows, None] - orders * thetas[rows, None]
-        herm = rotated_hermitian_parts(basis, psi)
+        herm = linalg._rotated_parts(stack, psi)
         if matrices is None:
             eigenvalues = linalg.lapack(np.linalg.eigvalsh, herm)
         else:
@@ -728,7 +714,7 @@ def truncation_inclusion_check(
     phi_count = report.phi_count
     upper = np.asarray(report.upper, dtype=float)
     if upper.shape != (phi_count,):
-        raise ValueError("the report carries no certified upper bounds")
+        raise ValueError(f"the report's upper bounds have shape {upper.shape}, not ({phi_count},)")
     t_n = truncation(spec, n_rows)
     margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
     half = _solved_count(phi_count)

@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, outputs, determinism."""
 
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -17,7 +18,7 @@ from toeprange.operators import (
     symbol,
     validate_spec,
 )
-from toeprange.ranges import SUPPORT_RTOL, RangeReport, convex_hull, operator_range
+from toeprange.ranges import SUPPORT_RTOL, convex_hull, operator_range
 
 COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
 FREE_JACOBI = os.path.join(os.path.dirname(__file__), "..", "specs", "free_jacobi.json")
@@ -117,14 +118,14 @@ class TestRange:
              "--out", str(out)]
         )
         assert code == 0
+        # The written JSON carries the library's polygon and residuals bit
+        # for bit, and no sample rows.
         doc = json.loads(out.read_text())
-        assert "samples" not in doc
-        report = RangeReport.from_dict(doc)
         library = operator_range(counterexample_spec(), 24, 24)
-        assert (report.theta_count, report.phi_count) == (24, 24)
-        assert report.residual_summary == library.residual_summary
-        assert np.array_equal(report.polygon.vertices, library.polygon.vertices)
-        assert report.samples.shape == (0, 3)
+        assert set(doc) == {"kind", "theta_count", "phi_count", "residual_summary", "polygon"}
+        assert (doc["kind"], doc["theta_count"], doc["phi_count"]) == ("range-report", 24, 24)
+        assert doc["residual_summary"] == library.residual_summary
+        assert np.array_equal(np.array(doc["polygon"]), library.polygon.vertices)
 
     def test_report_doc_polygon_is_hull_of_flat_table(self, tmp_path):
         # The report-doc polygon is the hull of the certified boundary points,
@@ -372,10 +373,19 @@ class TestCounterexample:
         assert code == 0
         summary = capsys.readouterr().out
         assert "hyperbolic: False" in summary
+        # The written verdict: failed at the witness direction pi/2, whose
+        # four roots are [re, im] pairs, the largest |im| being max_imag.
         doc = json.loads(out.read_text())
-        range_report, pipeline = cli.parse_counterexample_doc(doc)
-        assert range_report.theta_count == 90
-        assert not pipeline.verdict.hyperbolic
+        assert doc["kind"] == "counterexample-report"
+        assert doc["range_report"]["theta_count"] == 90
+        verdict = doc["nonrepresentability"]["verdict"]
+        assert set(verdict) == {"hyperbolic", "max_imag", "direction_count", "tol",
+                                "witness_theta", "witness_direction", "witness_roots"}
+        assert verdict["hyperbolic"] is False and verdict["direction_count"] == 90
+        assert abs(verdict["witness_theta"] - math.pi / 2) <= 1e-12
+        roots = np.array(verdict["witness_roots"])
+        assert roots.shape == (4, 2)
+        assert np.max(np.abs(roots[:, 1])) == verdict["max_imag"] > verdict["tol"]
 
     def test_certificate_forms_json_contract(self, tmp_path):
         out = tmp_path / "report.json"
@@ -395,9 +405,8 @@ class TestCounterexample:
         # are pinned too.
         assert json.dumps(doc["nonrepresentability"]["quartic"]) == json.dumps(quartic)
         assert json.dumps(doc["nonrepresentability"]["dual"]) == json.dumps(dual)
-        _, pipeline = cli.parse_counterexample_doc(doc)
-        assert pipeline.quartic == boundary_quartic()
-        assert pipeline.dual == dual_quartic()
+        assert doc["nonrepresentability"]["quartic"] == boundary_quartic().to_dict()
+        assert doc["nonrepresentability"]["dual"] == dual_quartic().to_dict()
 
     def test_report_file_is_the_dict_encoding(self, tmp_path):
         out = tmp_path / "report.json"
@@ -406,14 +415,23 @@ class TestCounterexample:
         doc, _ = cli.counterexample_doc(theta_count=30, phi_count=40, direction_count=16)
         text = out.read_text()
         assert text == json.dumps(doc) + "\n"
-        parsed, _ = cli.parse_counterexample_doc(json.loads(text))
         library = operator_range(counterexample_spec(), 30, 40)
-        assert np.array_equal(parsed.polygon.vertices, library.polygon.vertices)
+        written = np.array(json.loads(text)["range_report"]["polygon"])
+        assert np.array_equal(written, library.polygon.vertices)
 
     def test_refinement_shrinks_quartic_residual(self):
+        # The normalized residual shrinks strictly while it is approximation
+        # error.  Polished boundary points can reach the rounding floor
+        # (about 2e-14), where the two grids differ by noise alone, so a
+        # coarse residual at or below the floor only asks the fine one to
+        # stay there.
+        floor = 1e-13
         coarse, _ = cli.counterexample_doc(theta_count=120, phi_count=120, direction_count=16)
         fine, _ = cli.counterexample_doc(theta_count=360, phi_count=360, direction_count=16)
-        assert fine["quartic_residual_max"] < coarse["quartic_residual_max"]
+        if coarse["quartic_residual_max"] > floor:
+            assert fine["quartic_residual_max"] < coarse["quartic_residual_max"]
+        else:
+            assert fine["quartic_residual_max"] <= floor
 
     def test_polished_boundary_points_meet_the_quartic(self):
         # The default 16 x 720 grid: each boundary point comes from a

@@ -9,7 +9,6 @@ import pytest
 from conftest import random_complex_matrix
 from toeprange.curves import (
     _witness_index,
-    NonrepresentabilityReport,
     ConicFamilyCoefficients,
     HyperbolicityVerdict,
     KIPPENHAHN_SIZE_CAP,
@@ -93,10 +92,13 @@ class TestTernaryForm:
             TernaryForm(degree=2, coefficients={(2, 0, 0): 0.0})
 
     def test_records_roundtrip(self):
+        # One sorted [i, j, k, coefficient] row per nonzero term, and the
+        # JSON text keeps each coefficient bit for bit.
         form = dual_quartic()
-        again = TernaryForm.from_dict(json.loads(json.dumps(form.to_dict())))
-        assert again.degree == form.degree
-        assert again.coefficients == form.coefficients
+        doc = json.loads(json.dumps(form.to_dict()))
+        assert doc["degree"] == form.degree
+        assert [tuple(row[:3]) for row in doc["records"]] == sorted(form.coefficients)
+        assert {tuple(row[:3]): row[3] for row in doc["records"]} == form.coefficients
 
     def test_homogeneity(self):
         rng = np.random.default_rng(40)
@@ -561,11 +563,17 @@ class TestHyperbolicity:
             hyperbolicity_test(form)
 
     def test_verdict_dict_roundtrip(self):
+        # The JSON text keeps every field bit for bit; complex roots are
+        # written as [re, im] pairs.
         verdict = hyperbolicity_test(dual_quartic(), 90)
-        again = type(verdict).from_dict(json.loads(json.dumps(verdict.to_dict())))
-        assert again.hyperbolic == verdict.hyperbolic
-        assert again.witness_theta == verdict.witness_theta
-        assert np.allclose(again.witness_roots, verdict.witness_roots)
+        doc = json.loads(json.dumps(verdict.to_dict()))
+        assert doc["hyperbolic"] is verdict.hyperbolic is False
+        assert doc["max_imag"] == verdict.max_imag
+        assert (doc["direction_count"], doc["tol"]) == (90, verdict.tol)
+        assert doc["witness_theta"] == verdict.witness_theta
+        assert doc["witness_direction"] == list(verdict.witness_direction)
+        roots = np.array(doc["witness_roots"])
+        assert np.array_equal(roots[:, 0] + 1j * roots[:, 1], verdict.witness_roots)
 
 
 class TestNonrepresentability:
@@ -648,8 +656,11 @@ class TestNonrepresentability:
     def test_report_roundtrip(self):
         report = nonrepresentability_report(direction_count=90)
         doc = json.loads(json.dumps(report.to_dict()))
-        again = NonrepresentabilityReport.from_dict(doc)
-        assert again.to_dict() == report.to_dict()
+        assert doc == report.to_dict()
+        assert doc["kind"] == "nonrepresentability-report"
+        assert doc["verdict"] == report.verdict.to_dict()
+        assert doc["quartic"] == boundary_quartic().to_dict()
+        assert doc["dual"] == dual_quartic().to_dict()
 
     def test_stage_error_labelling(self):
         err = PipelineStageError("duality", "boom")

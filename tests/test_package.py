@@ -51,8 +51,10 @@ def test_decompositions_go_through_the_linalg_facade():
 def test_ranges_solves_only_in_extreme_eigs():
     """In ``ranges.py`` ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` appear
     only as the solver handed to ``linalg.lapack`` inside ``_extreme_eigs``,
-    the one chunked Hermitian solve, and ``rotated_hermitian_parts`` is
-    called only there, so no other code builds a stack of parts."""
+    the one chunked Hermitian solve, and the steps of
+    ``rotated_hermitian_parts`` (the basis stack and its product with the
+    angles) are named only there, so no other code builds a stack of
+    parts."""
     path = pathlib.Path(toeprange.__file__).parent / "ranges.py"
     tree = ast.parse(path.read_text(), str(path))
     (solve,) = [
@@ -77,14 +79,15 @@ def test_ranges_solves_only_in_extreme_eigs():
         assert id(node) in handed, f"ranges.py:{node.lineno} names np.linalg.{node.attr}"
         assert ast.unparse(node) == f"np.linalg.{node.attr}"
     inside = {id(node) for node in ast.walk(solve)}
+    steps = ("rotated_hermitian_parts", "_hermitian_terms", "_rotated_parts")
     builders = [
         node for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id == "rotated_hermitian_parts"
-        or isinstance(node, ast.Attribute) and node.attr == "rotated_hermitian_parts"
+        if isinstance(node, ast.Name) and node.id in steps
+        or isinstance(node, ast.Attribute) and node.attr in steps
     ]
     assert builders
     for node in builders:
-        assert id(node) in inside, f"ranges.py:{node.lineno} names rotated_hermitian_parts"
+        assert id(node) in inside, f"ranges.py:{node.lineno} names {ast.unparse(node)}"
 
 
 def test_only_antipodes_reads_bottom_eigenpairs():
@@ -139,4 +142,19 @@ def test_only_antipodes_reads_bottom_eigenpairs():
             and function.name != "_antipodes"
         ]
     assert assigned
+    assert offenders == []
+
+
+def test_documents_are_write_only():
+    """The package writes its documents and reads none back: ``src/``
+    defines no ``from_dict`` method and no ``parse_*`` reader, and no
+    ``_power``, the Python-float twin of ``evaluate_form``'s numpy path."""
+    package = pathlib.Path(toeprange.__file__).parent
+    offenders = [
+        f"{path.name}:{node.lineno} defines {node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (node.name in ("from_dict", "_power") or node.name.startswith("parse_"))
+    ]
     assert offenders == []

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_supports, random_complex_matrix, random_unit_vector
-from toeprange import cli, ranges
+from toeprange import cli, linalg, ranges
 from toeprange.operators import (
     TAU,
     PeriodicBandedSpec,
@@ -310,6 +310,17 @@ class TestConvexHull:
         with pytest.raises(ValueError):
             convex_hull(np.zeros((0, 2)))
 
+    def test_polygon_rejects_malformed_vertices(self):
+        rows = [
+            [[0.0, 0.0, 1.0]],
+            [],
+            [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]],  # clockwise
+            [[0.0, float("nan")]],
+        ]
+        for vertices in rows:
+            with pytest.raises(ValueError):
+                ConvexPolygon(np.asarray(vertices, dtype=float))
+
 
 class TestHausdorff:
     def test_identical(self):
@@ -570,20 +581,41 @@ class TestOperatorRange:
         ids=["period8", "truncation124", "fejer"],
     )
     def test_hermitian_parts_stay_within_the_chunk_budget(self, monkeypatch, run):
-        # Each call builds at most _CHUNK_ENTRY_BUDGET // max(d^2, 2K) parts
-        # of a (K, d, d) basis, or of one (d, d) matrix (K = 1).
-        calls, parts = [], ranges.rotated_hermitian_parts
+        # Each product builds at most _CHUNK_ENTRY_BUDGET // max(d^2, 2K)
+        # parts of a (K, d, d) basis, or of one (d, d) matrix (K = 1), from
+        # the basis's (K, 2, d, d) stack.
+        calls, parts = [], linalg._rotated_parts
 
-        def recording(basis, angles):
-            shape = np.shape(basis)
-            terms = shape[0] if len(shape) == 3 else 1
-            width = max(shape[-1] ** 2, 2 * terms)
-            calls.append((len(angles), ranges._CHUNK_ENTRY_BUDGET // width))
-            return parts(basis, angles)
+        def recording(terms, psi):
+            k, d = len(terms), terms.shape[-1]
+            calls.append((len(psi), ranges._CHUNK_ENTRY_BUDGET // max(d * d, 2 * k)))
+            return parts(terms, psi)
 
-        monkeypatch.setattr(ranges, "rotated_hermitian_parts", recording)
+        monkeypatch.setattr(linalg, "_rotated_parts", recording)
         run()
         assert calls and all(rows <= limit for rows, limit in calls)
+
+    def test_hermitian_terms_are_built_once_per_solve(self, monkeypatch):
+        # A 124-row truncation check solves in chunks of 4 parts; the basis
+        # stack is built once per ``_extreme_eigs`` call, not once per chunk.
+        counts = {"_extreme_eigs": 0, "_hermitian_terms": 0, "_rotated_parts": 0}
+
+        def counting(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        report = operator_range(PERIOD8, 90, 720, support_rtol=1e-4)
+        for module, name in [(ranges, "_extreme_eigs"), (linalg, "_hermitian_terms"),
+                             (linalg, "_rotated_parts")]:
+            counting(module, name)
+        truncation_inclusion_check(PERIOD8, 124, report)
+        assert counts["_hermitian_terms"] == counts["_extreme_eigs"] > 0
+        assert counts["_rotated_parts"] > counts["_extreme_eigs"]
 
 
 class TestSelfadjointInterval:
@@ -662,38 +694,22 @@ class TestTruncationInclusion:
 
 class TestRangeReport:
     def test_dict_roundtrip(self):
+        # The document survives JSON text bit for bit: the polygon and the
+        # residuals are the report's own.
         report = operator_range(counterexample_spec(), 12, 12)
         doc = json.loads(json.dumps(report.to_dict()))
         assert set(doc) == {"kind", "theta_count", "phi_count", "residual_summary", "polygon"}
-        again = RangeReport.from_dict(doc)
-        assert again.theta_count == report.theta_count
-        assert again.phi_count == report.phi_count
-        assert again.residual_summary == report.residual_summary
-        assert np.array_equal(again.polygon.vertices, report.polygon.vertices)
-        assert again.samples.shape == (0, 3) and again.samples.dtype == report.samples.dtype
+        assert (doc["kind"], doc["theta_count"], doc["phi_count"]) == ("range-report", 12, 12)
+        assert doc["residual_summary"] == report.residual_summary
+        assert np.array_equal(np.array(doc["polygon"]), report.polygon.vertices)
 
     def test_empty_samples_roundtrip(self):
         report = operator_range(counterexample_spec(), 4, 4)
         doc = report.to_dict()
         report.samples = report.samples[:0]
         assert report.to_dict() == doc
-        again = RangeReport.from_dict(doc)
-        assert again.samples.shape == (0, 3) and again.samples.dtype == report.samples.dtype
-        assert again.to_dict() == doc
+        assert json.loads(json.dumps(doc)) == doc
         assert _table_text(report.samples, 4, 4) == "theta phi support_value x y\n"
-
-    def test_from_dict_rejects_malformed_rows(self):
-        doc = operator_range(counterexample_spec(), 4, 5).to_dict()
-        edits = [
-            {"kind": "counterexample-report"},
-            {"polygon": [[0.0, 0.0, 1.0]]},
-            {"polygon": []},
-            {"polygon": [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]},  # clockwise
-            {"polygon": [[0.0, float("nan")]]},
-        ]
-        for edit in edits:
-            with pytest.raises(ValueError):
-                RangeReport.from_dict({**doc, **edit})
 
     def test_flat_table_matches_row_formatting(self):
         spec = counterexample_spec()
@@ -888,9 +904,12 @@ class TestCertifiedSupports:
         assert report.samples[3, 0] >= 25.0 - band_width(spec)
 
     def test_inclusion_check_needs_certified_bounds(self):
-        doc = operator_range(counterexample_spec(), 4, 8).to_dict()
-        with pytest.raises(ValueError, match="upper bounds"):
-            truncation_inclusion_check(counterexample_spec(), 6, RangeReport.from_dict(doc))
+        report = operator_range(counterexample_spec(), 4, 8)
+        for upper in (np.zeros(0), report.upper[:7], report.upper[:, None]):
+            bad = RangeReport(report.polygon, report.samples, 4, 8,
+                              report.residual_summary, upper)
+            with pytest.raises(ValueError, match="upper bounds"):
+                truncation_inclusion_check(counterexample_spec(), 6, bad)
 
 
 class TestCertifiedSubsets:
