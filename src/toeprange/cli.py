@@ -156,7 +156,7 @@ def cmd_range(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.format == "svg":
         _check_sweep_size(spec.period, args.overlay_thetas, args.phi_count,
-                          _OVERLAY_SAMPLE_BYTES, bisection=False)
+                          _OVERLAY_SAMPLE_BYTES, bisection=False, band=spec.band)
     report = operator_range(spec, **_grid(args))
     if args.format == "svg":
         overlays = _overlay_polygons(spec, args.overlay_thetas, args.phi_count)

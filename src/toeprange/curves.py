@@ -2,11 +2,11 @@
 
 The counterexample operator's range closure is bounded by a quartic curve
 obtained as the envelope of a one-parameter family of ellipses.  This
-module carries that curve, its dual under the tangent-line pairing, and a
-sampled hyperbolicity test: a form that divides some Kippenhahn polynomial
-``det(t I + x Re(B) + y Im(B))`` must have all-real roots along every
-direction, and the dual quartic fails this, so no finite matrix has the
-operator's numerical range.
+module derives that curve, carries its dual under the tangent-line
+pairing, and runs a sampled hyperbolicity test: a form that divides some
+Kippenhahn polynomial ``det(t I + x Re(B) + y Im(B))`` must have all-real
+roots along every direction, and the dual quartic fails this, so no finite
+matrix has the operator's numerical range.
 
 ``TernaryForm`` is the one polynomial type here: the quartics, Kippenhahn
 forms and the ellipse family's quadratic coefficients (read at t = 1) are
@@ -113,19 +113,11 @@ def restrict_to_direction(form: TernaryForm, x0, y0) -> np.ndarray:
 
 def boundary_quartic() -> TernaryForm:
     """Quartic whose zero set (minus one isolated interior point) is the
-    boundary of the counterexample operator's range closure."""
-    return TernaryForm(
-        degree=4,
-        coefficients={
-            (0, 4, 0): 16.0,
-            (0, 2, 2): 32.0,
-            (0, 0, 4): 16.0,
-            (2, 2, 0): -72.0,
-            (2, 0, 2): -72.0,
-            (3, 1, 0): 64.0,
-            (4, 0, 0): -15.0,
-        },
-    )
+    boundary of the counterexample operator's range closure: the envelope
+    ``family_discriminant(ellipse_family())`` divided by -9, exactly, as its
+    coefficients are integers."""
+    envelope = family_discriminant(ellipse_family())
+    return TernaryForm(4, {e: c / -9.0 for e, c in envelope.coefficients.items()})
 
 
 def dual_quartic() -> TernaryForm:
@@ -325,16 +317,12 @@ def _check_direction_count(direction_count: int, degree: int) -> None:
 
 def _witness_index(values: np.ndarray) -> int:
     """Where a scan of nonnegative values ends if each takes over only by
-    beating the current pick by a relative 1e-9 (first wins near-ties).
-    Only a rise of the running maximum can take over, and one beating the
-    previous rise by the margin always does, so the scan starts there."""
-    rises = np.flatnonzero(np.diff(np.maximum.accumulate(values), prepend=-1.0) > 0)
-    sure = np.flatnonzero(values[rises[1:]] > values[rises[:-1]] * (1.0 + 1e-9))
-    pick = rises[sure[-1] + 1 if sure.size else 0]
-    for idx in rises[rises > pick]:
+    beating the current pick by a relative 1e-9 (first wins near-ties)."""
+    pick = 0
+    for idx in range(1, len(values)):
         if values[idx] > values[pick] * (1.0 + 1e-9):
             pick = idx
-    return int(pick)
+    return pick
 
 
 def hyperbolicity_test(form: TernaryForm, direction_count: int = 720) -> HyperbolicityVerdict:

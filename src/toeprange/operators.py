@@ -15,6 +15,11 @@ module builds its finite surrogates instead:
 * ``c_mu``: the wrapped ``mu x mu`` matrix (``mu = s(n+1)``) that the
   Fourier unitary block-diagonalizes into symbols at s-th roots of unity.
 
+The symbol's coefficients ``A_u`` (``symbol_harmonics``) are the one map
+from diagonals to matrix entries: a truncation is a leading section of the
+block Toeplitz matrix whose block (p, q) is ``A_{q-p}``, ``C_mu`` its block
+circulant.
+
 All constructions are pure; returned arrays are fresh and callers may treat
 them as immutable.
 """
@@ -203,32 +208,21 @@ HERMITICITY_RTOL = 1e-12
 
 
 def is_selfadjoint(spec: PeriodicBandedSpec) -> bool:
-    """Whether every truncation is Hermitian: a_j^(-r) = conj(a_{j-r}^(r)),
-    within ``HERMITICITY_RTOL * (1 + max |entry|)``."""
+    """Whether every truncation is Hermitian: the symbol's harmonics satisfy
+    A_{-u} = A_u^*, entrywise within ``HERMITICITY_RTOL * (1 + max |entry|)``."""
     tol = HERMITICITY_RTOL * (1.0 + spec.max_entry())
-    idx = np.arange(spec.period)
-    for r in range(0, spec.band + 1):
-        lower = spec.diagonal(-r)
-        upper = spec.diagonal(r)
-        # row j of the -r diagonal pairs with row j-r of the +r diagonal
-        if np.max(np.abs(lower - np.conj(upper[(idx - r) % spec.period]))) > tol:
-            return False
-    return True
+    harmonics = symbol_harmonics(spec)
+    return all(max_norm(a - b.conj().T) <= tol for a, b in zip(harmonics, harmonics[::-1]))
 
 
 def truncation(spec: PeriodicBandedSpec, n_rows: int) -> np.ndarray:
-    """Leading ``n_rows x n_rows`` compression of the one-sided operator."""
+    """Leading ``n_rows x n_rows`` compression of the one-sided operator, a
+    view into ``ceil(n_rows / (n+1))`` square blocks of ``_block_matrix``."""
     if n_rows < 1:
         raise ValueError("truncation size must be >= 1")
     if n_rows > MATRIX_SIZE_CAP:
         raise ValueError(f"truncation size {n_rows} exceeds cap {MATRIX_SIZE_CAP}")
-    out = np.zeros((n_rows, n_rows), dtype=complex)
-    rows = np.arange(n_rows)
-    for r in range(-spec.band, spec.band + 1):
-        seq = spec.diagonal(r)
-        j = rows[(rows + r >= 0) & (rows + r < n_rows)]
-        out[j, j + r] = seq[j % spec.period]
-    return out
+    return _block_matrix(symbol_harmonics(spec), -(-n_rows // spec.period))[:n_rows, :n_rows]
 
 
 def symbol(spec: PeriodicBandedSpec, theta: float) -> np.ndarray:
@@ -262,20 +256,13 @@ def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:
     The symbol is assembled as a finite Fourier sum
     ``sum_u A_u exp(i u theta)`` over ``symbol_harmonics``.
     """
-    d = spec.period
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if np.all((thetas >= -math.pi) & (thetas <= TAU)):
-        # There the IEEE remainder is theta or theta - 2 pi, and the
-        # difference is exact (Sterbenz), so no per-angle call is needed.
-        reduced = np.where(thetas > math.pi, thetas - TAU, thetas)
-    else:
-        reduced = np.vectorize(lambda t: math.remainder(t, TAU), otypes=[float])(thetas)
+    reduced = np.vectorize(lambda t: math.remainder(t, TAU), otypes=[float])(thetas)
     harmonics = symbol_harmonics(spec)
     u_max = len(harmonics) // 2
-    out = np.zeros((reduced.size, d, d), dtype=complex)
+    out = np.zeros((reduced.size,) + harmonics.shape[1:], dtype=complex)
     for u, harmonic in zip(range(-u_max, u_max + 1), harmonics):
-        if np.any(harmonic != 0.0):
-            out += np.exp(1j * u * reduced)[:, None, None] * harmonic
+        out += np.exp(1j * u * reduced)[:, None, None] * harmonic
     return out
 
 
@@ -283,16 +270,24 @@ def c_mu(spec: PeriodicBandedSpec, s: int) -> np.ndarray:
     """Wrapped ``mu x mu`` matrix, ``mu = s(n+1)``, entry (j,k) summing the
     operator entries at columns ``k + u*mu``.  At most one term survives
     because ``mu >= 2m+1``."""
-    mu = _check_replication(spec, s)
-    out = np.zeros((mu, mu), dtype=complex)
-    rows = np.arange(mu)
-    for r in range(-spec.band, spec.band + 1):
-        # Offsets differ by at most 2m < mu, so no two share an entry.
-        out[rows, (rows + r) % mu] += spec.diagonal(r)[rows % spec.period]
-    return out
+    _check_replication(spec, s)
+    return _block_matrix(symbol_harmonics(spec), s, cyclic=True)
 
 
-def _check_replication(spec: PeriodicBandedSpec, s: int) -> int:
+def _block_matrix(harmonics: np.ndarray, count: int, cyclic: bool = False) -> np.ndarray:
+    """The ``count x count`` block matrix of the (K, d, d) ``harmonics`` whose
+    block (p, q) is ``A_{q-p}``; with ``cyclic`` it sums the A_u with
+    u = q - p mod ``count``, as ``c_mu`` sums its operator entries."""
+    u_max, d = len(harmonics) // 2, harmonics.shape[-1]
+    out = np.zeros((count, d, count, d), dtype=complex)
+    p = np.arange(count)
+    for u, harmonic in zip(range(-u_max, u_max + 1), harmonics):
+        keep = p if cyclic else p[(p + u >= 0) & (p + u < count)]
+        out[keep, :, (keep + u) % count, :] += harmonic
+    return out.reshape(count * d, count * d)
+
+
+def _check_replication(spec: PeriodicBandedSpec, s: int) -> None:
     if s < 2:
         raise ValueError("replication count s must be >= 2")
     mu = s * spec.period
@@ -302,7 +297,6 @@ def _check_replication(spec: PeriodicBandedSpec, s: int) -> int:
         )
     if mu > MATRIX_SIZE_CAP:
         raise ValueError(f"mu = {mu} exceeds cap {MATRIX_SIZE_CAP}")
-    return mu
 
 
 def fourier_unitary(n_plus_1: int, s: int) -> np.ndarray:
@@ -356,7 +350,6 @@ def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
     every factor ``|1 - lambda/z|`` lies in [1/2, 3/2], so the sums are
     well conditioned at any mu.
     """
-    _check_replication(spec, s)
     whole = lapack(np.linalg.eigvals, c_mu(spec, s))
     blocks = lapack(np.linalg.eigvals, symbol_batch(spec, TAU * np.arange(s) / s)).ravel()
     radius = 2.0 * (1.0 + max(np.max(np.abs(whole)), np.max(np.abs(blocks))))
@@ -371,7 +364,6 @@ def lifting_residual_max(spec: PeriodicBandedSpec, s: int) -> float:
     """Worst residual ``|C_mu w - lambda w|`` over all lifted unit
     eigenvectors of all symbols at the s-th roots of unity, scaled by
     ``1 + |lambda|``."""
-    _check_replication(spec, s)
     c = c_mu(spec, s)
     values, vectors = lapack(np.linalg.eig, symbol_batch(spec, TAU * np.arange(s) / s))
     worst = 0.0

@@ -319,20 +319,24 @@ def _check_counts(theta_count: int = 1, phi_count: int = 3) -> None:
 
 def _check_sweep_size(
     period: int, theta_count: int, phi_count: int, sample_bytes=_SAMPLE_BYTES, bisection=True,
+    band: int = 0,
 ) -> None:
     """Raise ``ValueError`` when a sweep is estimated to need more than
-    ``SWEEP_BYTE_CAP`` bytes: its (theta_count, d, d) complex symbol stack,
-    ``sample_bytes`` per theta_count * phi_count sample, with ``bisection``
-    the certified sweep's bisection intervals, and four stacks of one
-    ``_extreme_eigs`` chunk: the Hermitian parts, their eigenvectors, and
-    the symbols with the temporary that sums them.  A certified sweep
-    starts from at most theta_count intervals per solved direction, and
-    each round splits at most the ``REFINE_BUDGET`` left, so no later round
-    holds more than 2 * ``REFINE_BUDGET`` intervals."""
+    ``SWEEP_BYTE_CAP`` bytes: the spec's K = 2 ceil(``band`` / d) + 1 complex
+    d x d harmonics and, with ``bisection``, 8 K more (``_curvature`` peaks at
+    7.0 K with them, ``_extreme_eigs``'s terms take 2 K), else theta_count
+    symbols; ``sample_bytes`` per theta_count * phi_count sample, with
+    ``bisection`` the certified sweep's bisection intervals, and four stacks
+    of one ``_extreme_eigs`` chunk (parts, eigenvectors, symbols and their
+    sum).  A certified sweep starts from at most theta_count intervals per
+    solved direction, and each round splits at most the ``REFINE_BUDGET``
+    left, so no later round holds more than 2 * ``REFINE_BUDGET`` intervals."""
     solved = _solved_count(phi_count)
     targets = 2 if solved < phi_count else 1
     intervals = max(theta_count * solved, 2 * REFINE_BUDGET) if bisection else 0
-    estimate = (theta_count * (16 * period * period + sample_bytes * phi_count)
+    harmonics = 2 * -(-band // period) + 1
+    matrices = 9 * harmonics if bisection else harmonics + theta_count
+    estimate = (16 * period * period * matrices + sample_bytes * theta_count * phi_count
                 + (_INTERVAL_BYTES + _TARGET_BYTES * targets) * intervals
                 + 4 * 16 * _CHUNK_ENTRY_BUDGET)
     if estimate > SWEEP_BYTE_CAP:
@@ -360,7 +364,8 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
     _check_counts(theta_count, phi_count)
     # Each sample's 24-byte row, and its text twice (the pieces and their
     # join): at most five 24-character fields and their separators.
-    _check_sweep_size(spec.period, theta_count, phi_count, 24 + 2 * 125, bisection=False)
+    _check_sweep_size(spec.period, theta_count, phi_count, 24 + 2 * 125, bisection=False,
+                      band=spec.band)
     thetas = TAU * np.arange(theta_count) / theta_count
     pairs = np.arange(_solved_count(phi_count))
     sweep = np.empty((theta_count, phi_count, 3))
@@ -630,7 +635,7 @@ def operator_range(
     p_{j+1} lie in the polygon, so the largest distance from corner j to
     the segment [p_j, p_{j+1}] bounds every point's distance."""
     _check_counts(theta_count, phi_count)
-    _check_sweep_size(spec.period, theta_count, phi_count)
+    _check_sweep_size(spec.period, theta_count, phi_count, band=spec.band)
     best_theta, upper = _certified_maxima(spec, theta_count, phi_count, rtol=support_rtol)
 
     # One eigh per direction at its own angle and best theta (direction
@@ -676,9 +681,9 @@ def selfadjoint_interval(
     from a start grid of ``theta_count`` angles), which bound the symbol's
     extreme eigenvalues over every theta."""
     _check_counts(theta_count)
+    _check_sweep_size(spec.period, theta_count, 2, band=spec.band)
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
-    _check_sweep_size(spec.period, theta_count, 2)
     _, upper = _certified_maxima(spec, theta_count, 2)
     return -float(upper[0, 1]), float(upper[0, 0])
 

@@ -240,12 +240,22 @@ class TestEllipseFamily:
         assert abs(evaluate_form(disc, 1.0, 0.5, 0.0)) <= 1e-9
 
     def test_envelope_proportional_to_quartic_exactly(self):
-        # alpha^2 + beta^2 - gamma^2 == -9 * L(t, X, Y), integer arithmetic
+        # alpha^2 + beta^2 - gamma^2 == -9 * L(t, X, Y), integer arithmetic,
+        # against the quartic's literal coefficients; boundary_quartic()
+        # derives them from the envelope.
+        quartic = {
+            (0, 4, 0): 16.0,
+            (0, 2, 2): 32.0,
+            (0, 0, 4): 16.0,
+            (2, 2, 0): -72.0,
+            (2, 0, 2): -72.0,
+            (3, 1, 0): 64.0,
+            (4, 0, 0): -15.0,
+        }
         disc = family_discriminant(ellipse_family())
         assert disc.degree == 4
-        assert disc.coefficients == {
-            e: -9 * c for e, c in boundary_quartic().coefficients.items()
-        }
+        assert disc.coefficients == {e: -9 * c for e, c in quartic.items()}
+        assert boundary_quartic().coefficients == quartic
 
     def test_envelope_residual_at_origin(self):
         # matches -9 * L(1, 0, 0) = -9 * (-15) = 135 = 16^2 - 11^2

@@ -1,6 +1,7 @@
 """Operator specs, truncations, symbols, C_mu, and eigenvector lifting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,33 @@ class TestTruncation:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             truncation(counterexample_spec(), 0)
+
+    def test_leading_section_of_c_mu(self):
+        # Once s(n+1) >= N + m, no wrapped entry reaches the leading N x N
+        # section of C_mu, so it is the truncation, also with m >= n + 1.
+        rng = np.random.default_rng(11)
+        cases = 0
+        while cases < 1200:
+            period = int(rng.integers(1, 7))
+            spec = random_spec(rng, period, int(rng.integers(0, 3 * period + 3)))
+            n_rows = int(rng.integers(1, 3 * period + 3))
+            s = max(2, -(-(n_rows + spec.band) // period), -(-(2 * spec.band + 1) // period))
+            for extra in (0, int(rng.integers(1, 4))):
+                got = c_mu(spec, s + extra)[:n_rows, :n_rows]
+                assert np.array_equal(got, truncation(spec, n_rows)), (period, spec.band, n_rows)
+                cases += 1
+
+    def test_no_second_copy_of_the_section(self):
+        # The leading section is a view of the block matrix, not a copy of it.
+        spec = random_spec(np.random.default_rng(12), 3, 4)
+        n_rows = 1000
+        tracemalloc.start()
+        try:
+            truncation(spec, n_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 16 * n_rows**2
 
 
 class TestSymbol:

@@ -158,3 +158,26 @@ def test_documents_are_write_only():
         and (node.name in ("from_dict", "_power") or node.name.startswith("parse_"))
     ]
     assert offenders == []
+
+
+def test_only_symbol_harmonics_maps_diagonals_to_entries():
+    """In ``operators.py`` only ``symbol_harmonics`` reads a spec's
+    ``.diagonal(...)`` or ``.diagonals`` to place entries in a matrix;
+    truncations, ``C_mu``, symbols and the selfadjoint test are built from
+    the harmonics.  The spec's own plumbing (``PeriodicBandedSpec``'s
+    methods, ``validate_spec``, ``spec_to_doc`` and ``random_spec``) may
+    read them too."""
+    path = pathlib.Path(toeprange.__file__).parent / "operators.py"
+    tree = ast.parse(path.read_text(), str(path))
+    allowed = {"symbol_harmonics", "PeriodicBandedSpec", "validate_spec", "spec_to_doc",
+               "random_spec"}
+    offenders, readers = [], set()
+    for top in tree.body:
+        name = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("diagonal", "diagonals"):
+                readers.add(name)
+                if name not in allowed:
+                    offenders.append(f"operators.py:{node.lineno} {name} reads {ast.unparse(node)}")
+    assert "symbol_harmonics" in readers
+    assert offenders == []

@@ -536,6 +536,21 @@ class TestOperatorRange:
         _check_sweep_size(16, 720, 720)
         _check_sweep_size(1, 2000, 0)
 
+    def test_size_check_charges_the_curvature_stacks(self, monkeypatch):
+        # At period 512 _curvature's SVD input, U and V dominate the smallest
+        # certified sweep: about 7 times the K = 3 harmonics.
+        spec = random_spec(np.random.default_rng(5), 512, 3)
+        tracemalloc.start()
+        try:
+            _curvature(symbol_harmonics(spec))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > 6 * 16 * 3 * 512**2
+        monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", peak - 1)
+        with pytest.raises(ValueError, match="cap"):
+            _check_sweep_size(512, 1, 3, band=3)
+
     @pytest.mark.parametrize(
         "sweep, spec, theta_count, phi_count",
         [
