@@ -2,9 +2,11 @@
 
 Subcommands: validate, symbol, range, interval, verify, counterexample,
 plot (``range --format svg`` with six overlays).  Handlers read the parsed
-``argparse.Namespace`` directly.  Operator spec files are JSON documents with integer ``period``,
-integer ``band`` and a ``diagonals`` map from offset strings to arrays of
-entries (bare reals or ``[re, im]`` pairs).
+``argparse.Namespace`` and compose library results, which refuse oversized
+work themselves; only the ``symbol`` document is built, and charged, here.
+Operator spec files are JSON documents with integer ``period``, integer
+``band`` and a ``diagonals`` map from offset strings to arrays of entries
+(bare reals or ``[re, im]`` pairs).
 
 Exit codes: 0 success, 1 eigensolver failure, 2 unreadable/unparseable
 input, 3 spec invariant violation, 4 output I/O failure, 5 verification
@@ -22,20 +24,10 @@ import tempfile
 
 import numpy as np
 
-from . import svg
-from .curves import (
-    _check_direction_count,
-    boundary_quartic,
-    dual_quartic,
-    ellipse_family_residual,
-    ellipse_family,
-    evaluate_form,
-    family_discriminant,
-    nonrepresentability_report,
-)
+from . import ranges, svg
+from .curves import ellipse_family_residual, evaluate_form, nonrepresentability_report
 from .operators import (
     TAU,
-    PeriodicBandedSpec,
     SpecError,
     _check_replication,
     block_diagonalization_residual,
@@ -45,15 +37,13 @@ from .operators import (
     spec_to_doc,
     spectrum_match_gap,
     symbol,
-    symbol_batch,
 )
 from .ranges import (
     THETA_START,
-    _check_sweep_size,
     flat_table,
-    matrix_numerical_range,
     operator_range,
     selfadjoint_interval,
+    symbol_ranges,
     truncation_inclusion_check,
 )
 
@@ -69,11 +59,10 @@ FORMATS = ("report-doc", "flat-table", "svg")
 # depends on, so a looser screen saves solves without loosening the bounds
 # the printed excess is taken against.
 _SCREEN_RTOL = 1e-4
-# Bytes per overlay sample (theta x phi) of an SVG, whose symbol ranges run
-# no bisection: the hull vertices (16), and the path text, 24 characters a
-# vertex, held twice (the pieces and their join in ``svg.range_figure``).
-# Measured: 65-67 bytes per sample.
-_OVERLAY_SAMPLE_BYTES = 72
+# Bytes per entry of a ``symbol`` document: its [re, im] list and floats
+# (~156) and its JSON text, at most 54 characters, held twice (the pieces and
+# their join).  Measured: 168 bytes an entry at 12 characters, 248 at 44.
+_SYMBOL_ENTRY_BYTES = 264
 
 
 class OutputError(RuntimeError):
@@ -120,6 +109,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_symbol(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
+    if _SYMBOL_ENTRY_BYTES * spec.period**2 > ranges.SWEEP_BYTE_CAP:
+        raise ValueError(f"a symbol document at period {spec.period} exceeds the "
+                         f"{ranges.SWEEP_BYTE_CAP}-byte cap")
     matrix = symbol(spec, args.theta)
     doc = {
         "kind": "symbol",
@@ -129,14 +121,6 @@ def cmd_symbol(args: argparse.Namespace) -> int:
     }
     _write_output(_json(doc), args.out)
     return EXIT_OK
-
-
-def _overlay_polygons(spec: PeriodicBandedSpec, count: int, phi_count: int):
-    thetas = TAU * np.arange(count) / count
-    return [
-        (f"theta={theta:.6f}", matrix_numerical_range(matrix, phi_count).vertices)
-        for theta, matrix in zip(thetas, symbol_batch(spec, thetas))
-    ]
 
 
 def _grid(args: argparse.Namespace) -> dict:
@@ -152,17 +136,14 @@ def _grid(args: argparse.Namespace) -> dict:
 def cmd_range(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
     if args.format == "flat-table":
-        _write_output(flat_table(spec, **_grid(args)), args.out)
-        return EXIT_OK
-    if args.format == "svg":
-        _check_sweep_size(spec.period, args.overlay_thetas, args.phi_count,
-                          _OVERLAY_SAMPLE_BYTES, bisection=False, band=spec.band)
-    report = operator_range(spec, **_grid(args))
-    if args.format == "svg":
-        overlays = _overlay_polygons(spec, args.overlay_thetas, args.phi_count)
+        text = flat_table(spec, **_grid(args))
+    elif args.format == "svg":
+        # Built first, so oversized overlays are refused before the sweep.
+        overlays = symbol_ranges(spec, args.overlay_thetas, args.phi_count)
+        report = operator_range(spec, **_grid(args))
         text = svg.range_figure(report.polygon.vertices, overlays=overlays)
     else:
-        text = _json(report.to_dict())
+        text = _json(operator_range(spec, **_grid(args)).to_dict())
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -220,24 +201,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_TOLERANCE
 
 
-def counterexample_doc(
-    *, direction_count: int, theta_count: int = THETA_START, phi_count: int = 720
-) -> tuple[dict, str]:
-    """Machine-readable counterexample pipeline report plus a summary."""
-    # Refuse an oversized certificate before the sweep, not after it.
-    _check_direction_count(direction_count, dual_quartic().degree)
-    spec = counterexample_spec()
-    report = operator_range(spec, theta_count, phi_count)
+def counterexample_doc(*, direction_count: int, **grid) -> tuple[dict, str]:
+    """The counterexample report and its summary; ``grid`` goes to ``operator_range``."""
+    # First, as the certificate refuses an oversized direction count up front.
+    pipeline = nonrepresentability_report(direction_count)
+    report = operator_range(counterexample_spec(), **grid)
     vertices = report.polygon.vertices
-    quartic = boundary_quartic()
+    quartic = pipeline.quartic
     residuals = np.abs(
         evaluate_form(quartic, 1.0, vertices[:, 0], vertices[:, 1])
     ) / (1.0 + np.hypot(vertices[:, 0], vertices[:, 1]) ** 4)
-    grid = np.linspace(0.0, TAU, 100, endpoint=False)
-    family_residual = np.max(np.abs(ellipse_family_residual(grid[:, None], grid[None, :])))
-    discriminant = family_discriminant(ellipse_family())
-    envelope_extremes = np.max(np.abs(evaluate_form(discriminant, 1.0, [1.5, -2.5, 0.5], 0.0)))
-    pipeline = nonrepresentability_report(direction_count)
+    angles = np.linspace(0.0, TAU, 100, endpoint=False)
+    family_residual = np.max(np.abs(ellipse_family_residual(angles[:, None], angles[None, :])))
+    # The quartic is the envelope divided by -9, so its extremes vanish too.
+    envelope_extremes = np.max(np.abs(evaluate_form(quartic, 1.0, [1.5, -2.5, 0.5], 0.0)))
     doc = {
         "kind": "counterexample-report",
         "range_report": report.to_dict(),
@@ -249,8 +226,8 @@ def counterexample_doc(
     }
     summary = "\n".join(
         [
-            f"range polygon: {vertices.shape[0]} vertices from {phi_count} certified "
-            f"directions (start grid {theta_count} symbol angles, support tolerance "
+            f"range polygon: {vertices.shape[0]} vertices from {report.phi_count} certified "
+            f"directions (start grid {report.theta_count} symbol angles, support tolerance "
             f"{_fmt(report.residual_summary['support_tol'])})",
             f"max normalized boundary quartic residual: {_fmt(doc['quartic_residual_max'])}",
             "real axis extremes: "

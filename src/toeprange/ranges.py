@@ -61,6 +61,10 @@ SWEEP_BYTE_CAP = 1 << 30
 _SAMPLE_BYTES = 16
 _INTERVAL_BYTES = 64
 _TARGET_BYTES = 24
+# Bytes per overlay sample (theta x phi) of ``symbol_ranges``: the hull
+# vertices (16), and their SVG path text, 24 characters a vertex, held twice
+# (the pieces and their join in ``svg.range_figure``).  Measured: 65-67.
+_OVERLAY_SAMPLE_BYTES = 72
 # Start grid of the certified sweep in theta when none is given.
 THETA_START = 16
 # A direction's theta intervals are bisected until none of their bounds
@@ -317,32 +321,30 @@ def _check_counts(theta_count: int = 1, phi_count: int = 3) -> None:
         raise ValueError("phi_count must be >= 3")
 
 
-def _check_sweep_size(
-    period: int, theta_count: int, phi_count: int, sample_bytes=_SAMPLE_BYTES, bisection=True,
-    band: int = 0,
-) -> None:
-    """Raise ``ValueError`` when a sweep is estimated to need more than
-    ``SWEEP_BYTE_CAP`` bytes: the spec's K = 2 ceil(``band`` / d) + 1 complex
-    d x d harmonics and, with ``bisection``, 8 K more (``_curvature`` peaks at
-    7.0 K with them, ``_extreme_eigs``'s terms take 2 K), else theta_count
-    symbols; ``sample_bytes`` per theta_count * phi_count sample, with
-    ``bisection`` the certified sweep's bisection intervals, and four stacks
-    of one ``_extreme_eigs`` chunk (parts, eigenvectors, symbols and their
-    sum).  A certified sweep starts from at most theta_count intervals per
+def _check_sweep_size(spec: PeriodicBandedSpec, theta_count: int, phi_count: int,
+                      sample_bytes=_SAMPLE_BYTES, bisection=True) -> None:
+    """Raise ``ValueError`` when a sweep of ``spec`` is estimated to need more
+    than ``SWEEP_BYTE_CAP`` bytes: its K = 2 ceil(band / d) + 1 complex d x d
+    harmonics and, with ``bisection``, 5 K more (``_curvature`` peaks at 3 K
+    with them, ``_extreme_eigs``'s terms take 2 K), else theta_count symbols;
+    ``sample_bytes`` per theta_count * phi_count sample, with ``bisection``
+    the certified sweep's bisection intervals, and four stacks of one
+    ``_extreme_eigs`` chunk (parts, eigenvectors, symbols and their sum).
+    A certified sweep starts from at most theta_count intervals per
     solved direction, and each round splits at most the ``REFINE_BUDGET``
     left, so no later round holds more than 2 * ``REFINE_BUDGET`` intervals."""
     solved = _solved_count(phi_count)
     targets = 2 if solved < phi_count else 1
     intervals = max(theta_count * solved, 2 * REFINE_BUDGET) if bisection else 0
-    harmonics = 2 * -(-band // period) + 1
-    matrices = 9 * harmonics if bisection else harmonics + theta_count
-    estimate = (16 * period * period * matrices + sample_bytes * theta_count * phi_count
+    harmonics = 2 * -(-spec.band // spec.period) + 1
+    matrices = 6 * harmonics if bisection else harmonics + theta_count
+    estimate = (16 * spec.period**2 * matrices + sample_bytes * theta_count * phi_count
                 + (_INTERVAL_BYTES + _TARGET_BYTES * targets) * intervals
                 + 4 * 16 * _CHUNK_ENTRY_BUDGET)
     if estimate > SWEEP_BYTE_CAP:
         raise ValueError(
             f"a sweep over {theta_count} symbol angles and {phi_count} directions "
-            f"at period {period} needs about {estimate:.3g} bytes, over the cap "
+            f"at period {spec.period} needs about {estimate:.3g} bytes, over the cap "
             f"of {SWEEP_BYTE_CAP} bytes"
         )
 
@@ -356,6 +358,16 @@ def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:
     return convex_hull(_antipodes(pairs, phi_count, *solved)[2])
 
 
+def symbol_ranges(spec: PeriodicBandedSpec, count: int, phi_count: int = 720) -> list:
+    """``(label, vertices)`` of the numerical ranges of the symbols at
+    ``count`` uniform angles theta, each over ``phi_count`` directions: the
+    overlays of ``svg.range_figure``."""
+    _check_sweep_size(spec, count, phi_count, _OVERLAY_SAMPLE_BYTES, bisection=False)
+    thetas = TAU * np.arange(count) / count
+    return [(f"theta={theta:.6f}", matrix_numerical_range(matrix, phi_count).vertices)
+            for theta, matrix in zip(thetas, symbol_batch(spec, thetas))]
+
+
 def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int = 720) -> str:
     """The uniform sweep as text: one ``theta phi support_value x y`` row
     per pair of the ``theta`` x ``phi`` grid, theta-major, under a header
@@ -364,8 +376,7 @@ def flat_table(spec: PeriodicBandedSpec, theta_count: int = 720, phi_count: int 
     _check_counts(theta_count, phi_count)
     # Each sample's 24-byte row, and its text twice (the pieces and their
     # join): at most five 24-character fields and their separators.
-    _check_sweep_size(spec.period, theta_count, phi_count, 24 + 2 * 125, bisection=False,
-                      band=spec.band)
+    _check_sweep_size(spec, theta_count, phi_count, 24 + 2 * 125, bisection=False)
     thetas = TAU * np.arange(theta_count) / theta_count
     pairs = np.arange(_solved_count(phi_count))
     sweep = np.empty((theta_count, phi_count, 3))
@@ -390,8 +401,8 @@ def _curvature(harmonics: np.ndarray) -> float:
     of the singular values.  For a square-zero A_u the term is exactly
     ||A_u||_2 / 2 = w(A_u)."""
     orders = np.arange(len(harmonics)) - len(harmonics) // 2
-    singular = linalg.lapack(np.linalg.svd, np.concatenate([harmonics, harmonics @ harmonics]))[1]
-    norms, squares = np.split(singular[:, 0], 2)
+    stack = np.concatenate([harmonics, harmonics @ harmonics])
+    norms, squares = np.split(linalg.lapack(np.linalg.svd, stack, compute_uv=False)[:, 0], 2)
     return float(np.sum(orders**2 * 0.5 * (norms + np.sqrt(squares)))) * (1.0 + 1e-12)
 
 
@@ -635,7 +646,7 @@ def operator_range(
     p_{j+1} lie in the polygon, so the largest distance from corner j to
     the segment [p_j, p_{j+1}] bounds every point's distance."""
     _check_counts(theta_count, phi_count)
-    _check_sweep_size(spec.period, theta_count, phi_count, band=spec.band)
+    _check_sweep_size(spec, theta_count, phi_count)
     best_theta, upper = _certified_maxima(spec, theta_count, phi_count, rtol=support_rtol)
 
     # One eigh per direction at its own angle and best theta (direction
@@ -681,7 +692,7 @@ def selfadjoint_interval(
     from a start grid of ``theta_count`` angles), which bound the symbol's
     extreme eigenvalues over every theta."""
     _check_counts(theta_count)
-    _check_sweep_size(spec.period, theta_count, 2, band=spec.band)
+    _check_sweep_size(spec, theta_count, 2)
     if not is_selfadjoint(spec):
         raise SpecError("operator is not selfadjoint")
     _, upper = _certified_maxima(spec, theta_count, 2)

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toeprange import cli
+from toeprange import cli, ranges
 from toeprange.curves import boundary_quartic, dual_quartic
 from toeprange.operators import (
     counterexample_spec,
@@ -108,6 +108,19 @@ class TestSymbol:
         doc = json.loads(capsys.readouterr().out)
         got = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
         assert np.max(np.abs(got - symbol(counterexample_spec(), 0.9))) < 1e-15
+
+    def test_oversized_document_refused_before_the_symbol(self, tmp_path, monkeypatch, capsys):
+        # A period-1024 document holds 1024^2 [re, im] lists, about 200 MB
+        # while it is built: over a 128 MiB cap, refused before any work.
+        def evaluate(*args, **kwargs):
+            raise AssertionError("symbol ran")
+
+        path = write_spec(tmp_path, spec_to_doc(random_spec(np.random.default_rng(0), 1024, 3)))
+        monkeypatch.setattr(cli, "symbol", evaluate)
+        monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", 1 << 27)
+        assert cli.main(["symbol", path]) == 3
+        captured = capsys.readouterr()
+        assert "cap" in captured.err and captured.out == ""
 
 
 class TestRange:
@@ -530,6 +543,22 @@ class TestConfigValidation:
 
         monkeypatch.setattr(cli, "operator_range", sweep)
         assert cli.main(["counterexample", "--direction-count", "100000000"]) == 3
+        captured = capsys.readouterr()
+        assert "cap" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plot", COUNTEREXAMPLE],
+            ["range", COUNTEREXAMPLE, "--format", "svg"],
+        ],
+    )
+    def test_oversized_overlays_refused_before_the_sweep(self, monkeypatch, capsys, argv):
+        def sweep(*args, **kwargs):
+            raise AssertionError("operator_range ran")
+
+        monkeypatch.setattr(cli, "operator_range", sweep)
+        assert cli.main([*argv, "--overlay-thetas", "100000000"]) == 3
         captured = capsys.readouterr()
         assert "cap" in captured.err and captured.out == ""
 

@@ -181,3 +181,40 @@ def test_only_symbol_harmonics_maps_diagonals_to_entries():
                     offenders.append(f"operators.py:{node.lineno} {name} reads {ast.unparse(node)}")
     assert "symbol_harmonics" in readers
     assert offenders == []
+
+
+def test_cli_only_composes():
+    """``cli.py`` names none of the curve builders, size checks and solves
+    that the library runs for it: the counterexample's quartic, dual and
+    direction count come from ``nonrepresentability_report``, and the
+    overlays and their size charge from ``ranges.symbol_ranges``.  Only
+    ``ranges.py`` calls ``_check_sweep_size``, and its callers hold a spec."""
+    package = pathlib.Path(toeprange.__file__).parent
+    banned = {"_check_direction_count", "boundary_quartic", "dual_quartic", "ellipse_family",
+              "family_discriminant", "_check_sweep_size", "matrix_numerical_range",
+              "symbol_batch"}
+
+    def names(node):
+        # A name read or bound, an attribute, or an imported name.
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.alias):
+            return {node.name, node.asname}
+        return set()
+
+    path = package / "cli.py"
+    offenders = [
+        f"cli.py:{node.lineno} names {sorted(names(node) & banned)}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if names(node) & banned
+    ]
+    callers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and names(node.func) == {"_check_sweep_size"}
+    }
+    assert offenders == []
+    assert callers == {"ranges.py"}

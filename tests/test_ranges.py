@@ -531,14 +531,14 @@ class TestOperatorRange:
         with pytest.raises(ValueError, match="cap"):
             selfadjoint_interval(free_jacobi_spec(), 10**13)
         with pytest.raises(ValueError, match="cap"):
-            _check_sweep_size(4096, 720, 3)
+            _check_sweep_size(PeriodicBandedSpec(4096, 0), 720, 3)
         # The grids of the tests, demos and benchmark stay admitted.
-        _check_sweep_size(16, 720, 720)
-        _check_sweep_size(1, 2000, 0)
+        _check_sweep_size(PeriodicBandedSpec(16, 0), 720, 720)
+        _check_sweep_size(PeriodicBandedSpec(1, 0), 2000, 0)
 
     def test_size_check_charges_the_curvature_stacks(self, monkeypatch):
-        # At period 512 _curvature's SVD input, U and V dominate the smallest
-        # certified sweep: about 7 times the K = 3 harmonics.
+        # At period 512 _curvature's SVD input and its workspace dominate the
+        # smallest certified sweep: about 3 times the K = 3 harmonics.
         spec = random_spec(np.random.default_rng(5), 512, 3)
         tracemalloc.start()
         try:
@@ -546,10 +546,10 @@ class TestOperatorRange:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak > 6 * 16 * 3 * 512**2
+        assert peak > 3 * 16 * 3 * 512**2
         monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", peak - 1)
         with pytest.raises(ValueError, match="cap"):
-            _check_sweep_size(512, 1, 3, band=3)
+            _check_sweep_size(PeriodicBandedSpec(512, 3), 1, 3)
 
     @pytest.mark.parametrize(
         "sweep, spec, theta_count, phi_count",
@@ -854,8 +854,8 @@ class TestCertifiedSupports:
             solved.append(int(np.prod(np.shape(h)[:-2])))
             return np.linalg.eigvalsh(h)
 
-        monkeypatch.setattr(ranges.linalg, "lapack", lambda solver, h: (
-            counting(h) if solver is np.linalg.eigvalsh else solver(h)))
+        monkeypatch.setattr(ranges.linalg, "lapack", lambda solver, h, **kwargs: (
+            counting(h) if solver is np.linalg.eigvalsh else solver(h, **kwargs)))
         report = operator_range(spec, phi_count=720)
         assert sum(solved) == 16 * 360 + REFINE_BUDGET
         assert np.all(theta_reference(spec, 720, 1024) <= report.upper)
