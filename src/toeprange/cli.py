@@ -4,6 +4,8 @@ Subcommands: validate, symbol, range, interval, verify, counterexample,
 plot (``range --format svg`` with six overlays).  Handlers read the parsed
 ``argparse.Namespace`` and compose library results, which refuse oversized
 work themselves; only the ``symbol`` document is built, and charged, here.
+Every charge is checked by ``linalg.check_bytes`` against the one cap,
+``linalg.BYTE_CAP``, read at call time.
 Operator spec files are JSON documents with integer ``period``, integer
 ``band`` and a ``diagonals`` map from offset strings to arrays of entries
 (bare reals or ``[re, im]`` pairs).
@@ -24,8 +26,9 @@ import tempfile
 
 import numpy as np
 
-from . import ranges, svg
+from . import svg
 from .curves import ellipse_family_residual, evaluate_form, nonrepresentability_report
+from .linalg import check_bytes
 from .operators import (
     TAU,
     SpecError,
@@ -109,9 +112,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_symbol(args: argparse.Namespace) -> int:
     spec = load_spec(args.spec)
-    if _SYMBOL_ENTRY_BYTES * spec.period**2 > ranges.SWEEP_BYTE_CAP:
-        raise ValueError(f"a symbol document at period {spec.period} exceeds the "
-                         f"{ranges.SWEEP_BYTE_CAP}-byte cap")
+    check_bytes(_SYMBOL_ENTRY_BYTES * spec.period**2, f"a symbol document at period {spec.period}")
     matrix = symbol(spec, args.theta)
     doc = {
         "kind": "symbol",

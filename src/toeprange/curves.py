@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, lapack, rotated_hermitian_parts
+from .linalg import as_matrix, check_bytes, lapack, rotated_hermitian_parts
 from .operators import TAU
-from .ranges import SWEEP_BYTE_CAP
 
 KIPPENHAHN_SIZE_CAP = 12
 REAL_ROOT_RTOL = 1e-7
@@ -307,12 +306,12 @@ class HyperbolicityVerdict:
 
 
 def _check_direction_count(direction_count: int, degree: int) -> None:
-    """Refuse fewer than one direction, or more than ``SWEEP_BYTE_CAP`` bytes of
+    """Refuse fewer than one direction, or more than ``linalg.BYTE_CAP`` bytes of
     restriction, companion and root stacks at about 16 (degree + 1)^2 each."""
     if direction_count < 1:
         raise ValueError("direction_count must be >= 1")
-    if direction_count * (degree + 1) ** 2 * 16 > SWEEP_BYTE_CAP:
-        raise ValueError(f"{direction_count} directions exceed the {SWEEP_BYTE_CAP}-byte cap")
+    check_bytes(direction_count * (degree + 1) ** 2 * 16,
+                f"a hyperbolicity test over {direction_count} directions")
 
 
 def _witness_index(values: np.ndarray) -> int:

@@ -14,6 +14,9 @@ import numpy as np
 
 # Dense representation only; anything larger than this is a usage error.
 MATRIX_SIZE_CAP = 4096
+# Work estimated to need more bytes than this is refused before it allocates;
+# ``check_bytes`` reads it at call time, so lowering it reaches every charge.
+BYTE_CAP = 1 << 30
 
 
 class EigenSolverError(RuntimeError):
@@ -32,6 +35,13 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
+
+
+def check_bytes(estimate: float, what: str) -> None:
+    """Raise ``ValueError`` if ``what`` needs more than ``BYTE_CAP`` bytes."""
+    if estimate > BYTE_CAP:
+        raise ValueError(f"{what} needs about {estimate:.3g} bytes, "
+                         f"over the cap of {BYTE_CAP} bytes")
 
 
 def max_norm(a) -> float:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import MATRIX_SIZE_CAP, lapack, max_norm
+from .linalg import MATRIX_SIZE_CAP, check_bytes, lapack, max_norm
 
 TAU = 2.0 * math.pi
 # Specs storing more than this many entries, (2*band + 1) * period, are
@@ -210,6 +210,8 @@ HERMITICITY_RTOL = 1e-12
 def is_selfadjoint(spec: PeriodicBandedSpec) -> bool:
     """Whether every truncation is Hermitian: the symbol's harmonics satisfy
     A_{-u} = A_u^*, entrywise within ``HERMITICITY_RTOL * (1 + max |entry|)``."""
+    # The harmonics, and each pair's conjugate and difference.
+    _check_harmonics_bytes(spec, 2, f"the selfadjoint test at period {spec.period}")
     tol = HERMITICITY_RTOL * (1.0 + spec.max_entry())
     harmonics = symbol_harmonics(spec)
     return all(max_norm(a - b.conj().T) <= tol for a, b in zip(harmonics, harmonics[::-1]))
@@ -222,7 +224,11 @@ def truncation(spec: PeriodicBandedSpec, n_rows: int) -> np.ndarray:
         raise ValueError("truncation size must be >= 1")
     if n_rows > MATRIX_SIZE_CAP:
         raise ValueError(f"truncation size {n_rows} exceeds cap {MATRIX_SIZE_CAP}")
-    return _block_matrix(symbol_harmonics(spec), -(-n_rows // spec.period))[:n_rows, :n_rows]
+    count = -(-n_rows // spec.period)
+    # The harmonics, the count^2 blocks and one block row that ``+=`` copies.
+    _check_harmonics_bytes(spec, count * count + count,
+                           f"a truncation of size {n_rows} at period {spec.period}")
+    return _block_matrix(symbol_harmonics(spec), count)[:n_rows, :n_rows]
 
 
 def symbol(spec: PeriodicBandedSpec, theta: float) -> np.ndarray:
@@ -248,6 +254,14 @@ def symbol_harmonics(spec: PeriodicBandedSpec) -> np.ndarray:
         cols = rows + r
         harmonics[cols // d + u_max, rows, cols % d] = spec.diagonal(r)
     return harmonics
+
+
+def _check_harmonics_bytes(spec: PeriodicBandedSpec, extra: int, what: str) -> None:
+    """Refuse ``what`` when the spec's K = 2 ceil(m / (n+1)) + 1 harmonics,
+    ``extra`` more complex (n+1) x (n+1) matrices and 1 MiB for numpy's
+    iteration buffers (8192 entries) and index arrays exceed ``linalg.BYTE_CAP``."""
+    harmonics = 2 * -(-spec.band // spec.period) + 1
+    check_bytes(16 * spec.period**2 * (harmonics + extra) + (1 << 20), what)
 
 
 def symbol_batch(spec: PeriodicBandedSpec, thetas) -> np.ndarray:

@@ -50,10 +50,6 @@ _CHUNK_ENTRY_BUDGET = 1 << 16
 # Sample tables are serialized this many rows at a time, so only one chunk
 # of Python row objects exists besides the output text.
 _ROW_CHUNK = 8192
-# Sweeps whose symbol stack, sample arrays, bisection intervals and
-# eigensolve chunk are estimated to need more bytes than this are refused
-# before anything is allocated.
-SWEEP_BYTE_CAP = 1 << 30
 # Bytes a certified sweep is charged per theta x phi start-grid sample (its
 # values and masks), and per bisection interval: its ends and their index
 # and ranking, plus its end values and bound per target direction (1 for
@@ -324,7 +320,7 @@ def _check_counts(theta_count: int = 1, phi_count: int = 3) -> None:
 def _check_sweep_size(spec: PeriodicBandedSpec, theta_count: int, phi_count: int,
                       sample_bytes=_SAMPLE_BYTES, bisection=True) -> None:
     """Raise ``ValueError`` when a sweep of ``spec`` is estimated to need more
-    than ``SWEEP_BYTE_CAP`` bytes: its K = 2 ceil(band / d) + 1 complex d x d
+    than ``linalg.BYTE_CAP`` bytes: its K = 2 ceil(band / d) + 1 complex d x d
     harmonics and, with ``bisection``, 5 K more (``_curvature`` peaks at 3 K
     with them, ``_extreme_eigs``'s terms take 2 K), else theta_count symbols;
     ``sample_bytes`` per theta_count * phi_count sample, with ``bisection``
@@ -341,12 +337,8 @@ def _check_sweep_size(spec: PeriodicBandedSpec, theta_count: int, phi_count: int
     estimate = (16 * spec.period**2 * matrices + sample_bytes * theta_count * phi_count
                 + (_INTERVAL_BYTES + _TARGET_BYTES * targets) * intervals
                 + 4 * 16 * _CHUNK_ENTRY_BUDGET)
-    if estimate > SWEEP_BYTE_CAP:
-        raise ValueError(
-            f"a sweep over {theta_count} symbol angles and {phi_count} directions "
-            f"at period {spec.period} needs about {estimate:.3g} bytes, over the cap "
-            f"of {SWEEP_BYTE_CAP} bytes"
-        )
+    linalg.check_bytes(estimate, f"a sweep over {theta_count} symbol angles and "
+                       f"{phi_count} directions at period {spec.period}")
 
 
 def matrix_numerical_range(a, phi_count: int = 720) -> ConvexPolygon:

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toeprange import cli, ranges
+from toeprange import cli, linalg
 from toeprange.curves import boundary_quartic, dual_quartic
 from toeprange.operators import (
     counterexample_spec,
@@ -117,7 +117,7 @@ class TestSymbol:
 
         path = write_spec(tmp_path, spec_to_doc(random_spec(np.random.default_rng(0), 1024, 3)))
         monkeypatch.setattr(cli, "symbol", evaluate)
-        monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", 1 << 27)
+        monkeypatch.setattr(linalg, "BYTE_CAP", 1 << 27)
         assert cli.main(["symbol", path]) == 3
         captured = capsys.readouterr()
         assert "cap" in captured.err and captured.out == ""

@@ -30,9 +30,9 @@ from toeprange.curves import (
     restrict_to_direction,
     univariate_real_root_count,
 )
-from toeprange.linalg import EigenSolverError
+from toeprange.linalg import BYTE_CAP, EigenSolverError
 from toeprange.operators import TAU
-from toeprange.ranges import SWEEP_BYTE_CAP, matrix_numerical_range
+from toeprange.ranges import matrix_numerical_range
 
 
 def scalar_gradient(form, t, x, y):
@@ -539,7 +539,7 @@ class TestHyperbolicity:
         assert verdicts == {True, False}
 
     def test_oversized_direction_count_refused(self):
-        count = SWEEP_BYTE_CAP // (16 * 25) + 1
+        count = BYTE_CAP // (16 * 25) + 1
         with pytest.raises(ValueError, match="cap"):
             hyperbolicity_test(dual_quartic(), count)
         with pytest.raises(ValueError, match="direction_count"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spec_with_s
+from toeprange import linalg
 from toeprange.linalg import EigenSolverError, max_norm
 from toeprange.operators import (
     SPEC_ENTRY_CAP,
@@ -183,6 +184,30 @@ class TestTruncation:
             tracemalloc.stop()
         assert peak <= 1.1 * 16 * n_rows**2
 
+    @pytest.mark.parametrize(
+        "build, period",
+        [
+            # The harmonics dominate the first and the selfadjoint test, the
+            # 16 x 16 blocks and a block row's copy the second.
+            (lambda spec: truncation(spec, 5), 512),
+            (lambda spec: truncation(spec, 1000), 64),
+            (is_selfadjoint, 512),
+        ],
+        ids=["truncation5", "truncation1000", "selfadjoint"],
+    )
+    def test_size_check_charges_the_peak(self, monkeypatch, build, period):
+        spec = random_spec(np.random.default_rng(5), period, 3)
+        tracemalloc.start()
+        try:
+            build(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The estimate is at least the peak: a cap one byte below refuses it.
+        monkeypatch.setattr(linalg, "BYTE_CAP", peak - 1)
+        with pytest.raises(ValueError, match=f"at period {period} .* cap"):
+            build(spec)
+
 
 class TestSymbol:
     def test_counterexample_formula(self):
@@ -297,16 +322,17 @@ class TestSymbol:
         assert symbol_batch(spec, []).shape == (0, 3, 3)
 
     def test_angles_in_range_reduce_like_the_ieee_remainder(self):
-        # Angles in [-pi, 2 pi] skip the per-angle math.remainder; one angle
-        # outside the range sends the whole batch through it.
+        # Each angle is reduced by math.remainder on its own, so a symbol's
+        # bits do not depend on the other angles in its batch: one more angle
+        # far outside [-pi, pi] leaves every other symbol unchanged.
         rng = np.random.default_rng(19)
         spec = random_spec(rng, 3, 4)
         thetas = np.concatenate(
             [rng.uniform(-math.pi, TAU, 300), [math.pi, -math.pi, TAU, 0.0, -0.0]]
         )
-        fast = symbol_batch(spec, thetas)
-        slow = symbol_batch(spec, np.append(thetas, 10.0))[:-1]
-        assert fast.tobytes() == slow.tobytes()
+        batch = symbol_batch(spec, thetas)
+        beside_far_angle = symbol_batch(spec, np.append(thetas, 10.0))[:-1]
+        assert batch.tobytes() == beside_far_angle.tobytes()
 
     def test_hermitian_transfer(self):
         rng = np.random.default_rng(17)

@@ -1,10 +1,19 @@
-"""The package's public surface."""
+"""The package's public surface, and the design rules its modules keep."""
 
 import ast
+import os
 import pathlib
 import types
 
+import pytest
+
 import toeprange
+from toeprange import cli, linalg
+from toeprange.curves import dual_quartic, hyperbolicity_test, nonrepresentability_report
+from toeprange.operators import counterexample_spec, free_jacobi_spec, is_selfadjoint, truncation
+from toeprange.ranges import flat_table, operator_range, selfadjoint_interval, symbol_ranges
+
+COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
 
 
 def test_all_names_resolve_once():
@@ -218,3 +227,69 @@ def test_cli_only_composes():
     }
     assert offenders == []
     assert callers == {"ranges.py"}
+
+
+def test_one_byte_cap():
+    """Only ``linalg.py`` names ``BYTE_CAP``, and only ``check_bytes``
+    compares against it, so every size charge reads the one cap at call
+    time.  ``curves.py`` imports nothing from ``ranges``, and ``cli.py``
+    does not import the ``ranges`` module."""
+    package = pathlib.Path(toeprange.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in package.glob("*.py")}
+
+    def names(node):
+        # A name read or bound, an attribute, or an imported name.
+        return {getattr(node, key, None) for key in ("id", "attr", "name", "asname")} - {None}
+
+    namers = {
+        name for name, tree in trees.items()
+        for node in ast.walk(tree) if any(n.endswith("BYTE_CAP") for n in names(node))
+    }
+    assert namers == {"linalg.py"}
+    linalg_tree = trees["linalg.py"]
+    check = next(node for node in ast.walk(linalg_tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_bytes")
+    compares = [node for node in ast.walk(linalg_tree)
+                if isinstance(node, ast.Compare) and "BYTE_CAP" in ast.unparse(node)]
+    assert len(compares) == 1 and any(node is compares[0] for node in ast.walk(check))
+
+    def imports(tree):
+        # Each module a ``from`` import reads, and each name an import binds.
+        sources = {(node.module or "").removeprefix("toeprange.")
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        bound = {alias.name.removeprefix("toeprange.")
+                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        return sources, bound
+
+    sources, bound = imports(trees["curves.py"])
+    assert "ranges" not in sources and "ranges" not in bound
+    assert "ranges" not in imports(trees["cli.py"])[1]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: operator_range(counterexample_spec(), 3, 3),
+        lambda: selfadjoint_interval(free_jacobi_spec(), 3),
+        lambda: flat_table(counterexample_spec(), 3, 3),
+        lambda: symbol_ranges(counterexample_spec(), 1, 3),
+        lambda: hyperbolicity_test(dual_quartic(), 3),
+        lambda: nonrepresentability_report(3),
+        lambda: truncation(counterexample_spec(), 5),
+        lambda: is_selfadjoint(counterexample_spec()),
+        lambda: cli.main(["symbol", COUNTEREXAMPLE]),
+    ],
+    ids=["operator_range", "selfadjoint_interval", "flat_table", "symbol_ranges",
+         "hyperbolicity_test", "nonrepresentability_report", "truncation", "is_selfadjoint",
+         "cli_symbol"],
+)
+def test_one_lowered_cap_reaches_every_charge(monkeypatch, capsys, run):
+    monkeypatch.setattr(linalg, "BYTE_CAP", 1)
+    try:
+        # Only the CLI returns: it prints the refusal and exits with code 3.
+        assert run() == 3
+        message = capsys.readouterr().err
+    except ValueError as exc:
+        message = str(exc)
+    assert "cap" in message

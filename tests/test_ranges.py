@@ -547,7 +547,7 @@ class TestOperatorRange:
         finally:
             tracemalloc.stop()
         assert peak > 3 * 16 * 3 * 512**2
-        monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", peak - 1)
+        monkeypatch.setattr(linalg, "BYTE_CAP", peak - 1)
         with pytest.raises(ValueError, match="cap"):
             _check_sweep_size(PeriodicBandedSpec(512, 3), 1, 3)
 
@@ -580,7 +580,7 @@ class TestOperatorRange:
             tracemalloc.stop()
         # The estimate is at least the peak: a cap one byte below refuses it,
         # by the check of this sweep's own grid.
-        monkeypatch.setattr(ranges, "SWEEP_BYTE_CAP", peak - 1)
+        monkeypatch.setattr(linalg, "BYTE_CAP", peak - 1)
         grid = f"over {theta_count} symbol angles and {phi_count} directions .* cap"
         with pytest.raises(ValueError, match=grid):
             sweep(spec, theta_count, phi_count)
