@@ -311,6 +311,8 @@ def _check_replication(spec: PeriodicBandedSpec, s: int) -> None:
         )
     if mu > MATRIX_SIZE_CAP:
         raise ValueError(f"mu = {mu} exceeds cap {MATRIX_SIZE_CAP}")
+    # C_mu, U and U* C_mu U's two products, s^2 blocks each, and one block row.
+    _check_harmonics_bytes(spec, 4 * s * s + s, f"C_mu at mu = {mu}")
 
 
 def fourier_unitary(n_plus_1: int, s: int) -> np.ndarray:

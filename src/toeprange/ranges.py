@@ -432,161 +432,164 @@ def _certified_maxima(
     L2 (b - theta')^2 / 2 (``_parabola_bound``).  No simplicity assumption is
     needed, and the same holds for -H.
 
-    On the full circle the start grid of ``theta_count`` angles is solved
-    for every ``stride``-th pair only.  At each grid angle the other
-    directions are bounded by the tangent wedge of their two nearest solved
-    directions, the bound ``truncation_inclusion_check`` uses; the parabola
-    bounds are monotone in the end values, so they stay bounds.  A pair's best value
-    comes from solved points only: each pair is solved where its wedge
-    bound peaks, and the ends of every interval whose bound still exceeds
-    the best are solved before the bisection.  Finally each target's best
-    theta takes one parabolic step through the two angles around it when it
-    won (grid neighbours or the ends of the bisected interval), kept only
-    where it raises the best value; these solves are charged to
-    ``REFINE_BUDGET``, and skipped when it cannot cover them all.
-
-    Requested ``pairs`` are each solved on the whole start grid, so while
-    the budget binds none of them, a pair's results do not depend on which
-    other pairs were requested, as far as ``rotated_hermitian_parts``
-    rounds a part the same in every batch: with OpenBLAS that holds for
-    K <= 7 harmonics and for d = 2, 4 and 8 (measured up to K = 97), not
-    for d = 1 or 3 with K >= 9.
+    Its three steps share one ``_Sweep``.  Requested ``pairs`` are each
+    solved on the whole start grid, so while the budget binds none of them,
+    a pair's results do not depend on which other pairs were requested, as
+    far as ``rotated_hermitian_parts`` rounds a part the same in every
+    batch: with OpenBLAS that holds for K <= 7 harmonics and for d = 2, 4
+    and 8 (measured up to K = 97), not for d = 1 or 3 with K >= 9.
     """
-    half = _solved_count(phi_count)
-    targets = 2 if half < phi_count else 1
-    stride = max(1, phi_count // _WEDGE_DIRECTIONS) if pairs is None else 1
-    pairs = np.arange(half) if pairs is None else np.asarray(pairs, dtype=int)
-    count = pairs.size
-    phis = TAU * pairs / phi_count
-    harmonics = symbol_harmonics(spec)
-    curvature = _curvature(harmonics)
-    tolerance, rounding = _allowances(harmonics, rtol)
+    sweep = _Sweep(spec, theta_count, phi_count, pairs, rtol)
+    _start_grid(sweep, max(1, phi_count // _WEDGE_DIRECTIONS) if pairs is None else 1)
+    _bisect(sweep)
+    _polish(sweep)
+    return sweep.best_theta, sweep.upper + sweep.rounding
 
-    def evaluate(rows, thetas):
-        values, _ = _extreme_eigs(harmonics, phis[rows], thetas=thetas)
-        return _antipodes(pairs[rows], phi_count, values)[1].reshape(targets, -1).T
 
-    grid = TAU * np.arange(theta_count) / theta_count
+class _Sweep:
+    """One certified sweep's state: ``values[k, i]``, pair k's targets at
+    ``grid[i]``, solved where ``exact``, else a wedge bound; per pair and
+    target the ``best`` value at ``best_theta``, its polish bracket ``around``
+    (offsets h0 < 0 < h1 and values, NaN if unsolved) and the settled bound
+    ``upper``; ``live`` intervals as columns (pair, start, end, values)."""
+
+    def __init__(self, spec, theta_count: int, phi_count: int, pairs, rtol: float):
+        half, self.phi_count = _solved_count(phi_count), phi_count
+        self.pairs = np.arange(half) if pairs is None else np.asarray(pairs, dtype=int)
+        self.targets, self.harmonics = 2 if half < phi_count else 1, symbol_harmonics(spec)
+        self.curvature = _curvature(self.harmonics)
+        self.tolerance, self.rounding = _allowances(self.harmonics, rtol)
+        self.grid = TAU * np.arange(theta_count) / theta_count
+        self.values = np.empty((self.pairs.size, theta_count, self.targets))
+        self.exact = np.zeros((self.pairs.size, theta_count), dtype=bool)
+        self.best_theta = np.empty((self.pairs.size, self.targets))
+        self.around = np.empty((self.pairs.size, self.targets, 4))
+        self.budget = REFINE_BUDGET
+
+
+def _solve(sweep: _Sweep, k, thetas) -> np.ndarray:
+    """The targets (len(k), targets) of pairs ``k`` at angles ``thetas``."""
+    phis = TAU * sweep.pairs[k] / sweep.phi_count
+    values, _ = _extreme_eigs(sweep.harmonics, phis, thetas=thetas)
+    return _antipodes(sweep.pairs[k], sweep.phi_count, values)[1].reshape(sweep.targets, -1).T
+
+
+def _raise_best(sweep: _Sweep, k, thetas, found, h0, f0, h1, f1) -> None:
+    """Raise pairs ``k``'s best to ``found`` at ``thetas`` where larger; the last
+    candidate attaining it wins, its offsets and values h0, f0, h1, f1 the bracket."""
+    for t in range(sweep.targets):
+        top = np.full(len(sweep.best), -np.inf)
+        np.maximum.at(top, k, found[:, t])
+        won = np.flatnonzero((found[:, t] == top[k]) & (top[k] > sweep.best[k, t]))[::-1]
+        won = won[np.unique(k[won], return_index=True)[1]]
+        sweep.best_theta[k[won], t] = thetas[won]
+        sweep.around[k[won], t] = np.column_stack([h0[won], f0[won, t], h1[won], f1[won, t]])
+        sweep.best[:, t] = np.maximum(sweep.best[:, t], top)
+
+
+def _start_grid(sweep: _Sweep, stride: int) -> None:
+    """Solve the start grid for every ``stride``-th pair, the others where
+    the tangent wedge of their nearest solved directions peaks (the parabola
+    bounds are monotone in the end values, so wedges keep them bounds), then
+    the ends of every interval whose bound exceeds its pair's best.  Each
+    temporary spans at most ``_CHUNK_ENTRY_BUDGET`` entries of the grid."""
+    values, exact, grid = sweep.values, sweep.exact, sweep.grid
+    count, theta_count, targets = values.shape
     ends = np.append(grid[1:], TAU)
     width = (ends - grid)[:, None]
-    # values[k, i] holds pair k's targets at grid[i]: solved where
-    # ``exact``, elsewhere a wedge bound.  Only these, the masks and the
-    # per-pair results span the whole start grid; every temporary is taken
-    # for ``_CHUNK_ENTRY_BUDGET`` entries of it at a time.
-    values = np.empty((count, theta_count, targets))
-    exact = np.zeros((count, theta_count), dtype=bool)
     blocks = _blocks(count, theta_count * targets)
-
-    def solve(mask):
-        for rows in blocks:
-            k, i = np.nonzero(mask[rows])
-            if k.size:
-                k += rows.start
-                values[k, i], exact[k, i] = evaluate(k, grid[i]), True
-
     need = np.zeros_like(exact)
     need[::stride] = True
-    solve(need)
-    need[:] = False
-    if stride > 1:
-        # Direction j of the full circle is pair j % half, target j // half.
-        # The rounding allowance also covers the wedge formula's rounding
-        # and its amplification of the solved values' rounding.
-        solved = np.tile(exact[:, 0], targets)
-        for cols in _blocks(theta_count, phi_count):
-            supports = np.moveaxis(values[:, cols], 2, 0).reshape(phi_count, -1)
-            open_, wedge, _, _ = _tangent_wedges(supports, solved)
-            values[open_ % half, cols, open_ // half] = wedge + rounding
-            # Free this block's temporaries before the next block's are built.
-            del supports, wedge
-        # Each unsolved pair is solved first where its wedge bounds peak.
-        for rows in blocks:
-            pending = np.flatnonzero(~exact[rows, 0]) + rows.start
-            need[pending[:, None], values[pending].argmax(axis=1)] = True
-    best = np.empty((count, targets))
-    winner = np.empty((count, targets), dtype=int)
-    pruned = np.empty((count, targets))
-    live = np.empty_like(exact)
+    sweep.upper, live = np.empty((count, targets)), np.empty_like(exact)
     while True:
-        solve(need)
         for rows in blocks:
-            masked = np.where(exact[rows, :, None], values[rows], -np.inf)
-            best[rows], winner[rows] = masked.max(axis=1), masked.argmax(axis=1)
+            k, i = np.nonzero(need[rows])
+            k += rows.start
+            values[k, i], exact[k, i] = _solve(sweep, k, grid[i]), True
+        if not np.all(np.any(exact, axis=1)):
+            # Only stride rows are solved.  Direction j is pair j % count, target
+            # j // count; the rounding allowance covers the wedges' rounding too.
+            solved = np.tile(exact[:, 0], targets)
+            for cols in _blocks(theta_count, sweep.phi_count):
+                supports = np.moveaxis(values[:, cols], 2, 0).reshape(sweep.phi_count, -1)
+                open_, wedge, _, _ = _tangent_wedges(supports, solved)
+                values[open_ % count, cols, open_ // count] = wedge + sweep.rounding
+                del supports, wedge
+            need[:] = False
+            for rows in blocks:
+                pending = np.flatnonzero(~exact[rows, 0]) + rows.start
+                need[pending[:, None], values[pending].argmax(axis=1)] = True
+            continue
+        sweep.best = np.full((count, targets), -np.inf)
+        for rows in blocks:
+            near = np.where(exact[rows, :, None], values[rows], np.nan)
+            # Each pair's solved angles descending, so the first one wins a tie.
+            k, i = np.nonzero(exact[rows, ::-1])
+            i = theta_count - 1 - i
+            below, above = (i - 1) % theta_count, (i + 1) % theta_count
+            _raise_best(sweep, k + rows.start, grid[i], near[k, i],
+                        -width[below, 0], near[k, below], width[i, 0], near[k, above])
             bound = _parabola_bound(values[rows], np.roll(values[rows], -1, axis=1),
-                                    width, curvature)
-            live[rows] = np.any(bound - best[rows, None, :] > tolerance, axis=2)
-            # Pruned start intervals go straight into the bounds; only live
-            # ones become interval rows.
-            pruned[rows] = np.max(np.where(live[rows, :, None], -np.inf, bound), axis=1)
-            del masked, bound
+                                    width, sweep.curvature)
+            live[rows] = np.any(bound - sweep.best[rows, None, :] > sweep.tolerance, axis=2)
+            pruned = np.max(np.where(live[rows, :, None], -np.inf, bound), axis=1)
+            sweep.upper[rows] = np.maximum(sweep.best[rows], pruned)
+            del near, bound
         # Both ends of a live interval must be solved before it is split.
         need = ~exact & (live | np.roll(live, 1, axis=1))
         if not np.any(need):
             break
-    best_theta = grid[winner]
-    # Offsets from each target's best theta to the angles around it when it
-    # won, grid neighbours or the ends of the bisected interval, with their
-    # values (NaN where unsolved), for the final parabolic step.
-    rows, cols = np.arange(count)[:, None], np.arange(targets)
-    below, above = (winner - 1) % theta_count, (winner + 1) % theta_count
-    around = np.stack([
-        -width[below, 0], np.where(exact[rows, below], values[rows, below, cols], np.nan),
-        width[winner, 0], np.where(exact[rows, above], values[rows, above, cols], np.nan),
-    ], axis=-1)
-    upper = np.maximum(best, pruned)
     k, i = np.nonzero(live)
-    a, b = grid[i], ends[i]
-    va, vb = values[k, i], values[k, (i + 1) % theta_count]
-    del values, i
-    budget = REFINE_BUDGET
+    sweep.live = (k, grid[i], ends[i], values[k, i], values[k, (i + 1) % theta_count])
+    sweep.values = sweep.exact = None
+
+
+def _bisect(sweep: _Sweep) -> None:
+    """Bisect the live intervals, best first once the budget binds, until none
+    exceeds the tolerance or the budget is spent; last bounds go to ``upper``."""
+    (k, a, b, va, vb), sweep.live = sweep.live, ()
     while k.size:
         bound, gain = np.empty_like(va), np.empty(k.size)
-        for rows in _blocks(k.size, targets):
+        for rows in _blocks(k.size, sweep.targets):
             bound[rows] = _parabola_bound(va[rows], vb[rows], (b[rows] - a[rows])[:, None],
-                                          curvature)
-            gain[rows] = np.max(bound[rows] - best[k[rows]], axis=1)
-        split = gain > tolerance
-        if np.count_nonzero(split) > budget:
+                                          sweep.curvature)
+            gain[rows] = np.max(bound[rows] - sweep.best[k[rows]], axis=1)
+        split = gain > sweep.tolerance
+        if np.count_nonzero(split) > sweep.budget:
             # Best first: only the intervals whose bound exceeds the best
             # value the most are bisected; the others keep their bounds.
             split = np.zeros_like(split)
-            split[np.argsort(-gain, kind="stable")[:budget]] = True
-        for rows in _blocks(k.size, targets):
+            split[np.argsort(-gain, kind="stable")[:sweep.budget]] = True
+        for rows in _blocks(k.size, sweep.targets):
             done = ~split[rows]
-            np.maximum.at(upper, k[rows][done], bound[rows][done])
+            np.maximum.at(sweep.upper, k[rows][done], bound[rows][done])
         del bound, gain
         k, a, b, va, vb = (column[split] for column in (k, a, b, va, vb))
-        budget -= k.size
+        sweep.budget -= k.size
         if not k.size:
             break
         mid = 0.5 * (a + b)
-        vm = evaluate(k, mid)
-        for t in range(targets):
-            top = np.full(count, -np.inf)
-            np.maximum.at(top, k, vm[:, t])
-            won = np.flatnonzero((vm[:, t] == top[k]) & (top[k] > best[k, t]))
-            best_theta[k[won], t] = mid[won]
-            around[k[won], t] = np.column_stack(
-                [a[won] - mid[won], va[won, t], b[won] - mid[won], vb[won, t]])
-            best[:, t] = np.maximum(best[:, t], top)
+        vm = _solve(sweep, k, mid)
+        _raise_best(sweep, k, mid, vm, a - mid, va, b - mid, vb)
         k = np.concatenate([k, k])
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
         va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
         del mid, vm
-    # The vertex of the parabola through the best value and its two solved
-    # neighbours, best + beta h + gamma h^2; it is concave (gamma < 0)
-    # unless all three values are equal.
-    k, t = np.nonzero(~np.isnan(around[..., 1] + around[..., 3]))
-    h0, f0, h1, f1 = around[k, t].T
-    slope0, slope1 = (f0 - best[k, t]) / h0, (f1 - best[k, t]) / h1
+
+
+def _polish(sweep: _Sweep) -> None:
+    """Step each best theta to the vertex of the parabola through its
+    bracket, best + beta h + gamma h^2, where concave (gamma < 0) and where
+    that raises the best value; skipped when the budget cannot cover all."""
+    k, t = np.nonzero(~np.isnan(sweep.around[..., 1] + sweep.around[..., 3]))
+    h0, f0, h1, f1 = sweep.around[k, t].T
+    slope0, slope1 = (f0 - sweep.best[k, t]) / h0, (f1 - sweep.best[k, t]) / h1
     gamma = (slope1 - slope0) / (h1 - h0)
-    concave = gamma < 0
-    k, t, h0, h1, slope1, gamma = (v[concave] for v in (k, t, h0, h1, slope1, gamma))
-    if 0 < k.size <= budget:
-        theta = best_theta[k, t] + np.clip((gamma * h1 - slope1) / (2.0 * gamma), h0, h1)
-        better = evaluate(k, theta)[np.arange(k.size), t] > best[k, t]
-        best_theta[k[better], t[better]] = theta[better]
-    return best_theta, upper + rounding
+    k, t, h0, h1, slope1, gamma = (v[gamma < 0] for v in (k, t, h0, h1, slope1, gamma))
+    if 0 < k.size <= sweep.budget:
+        theta = sweep.best_theta[k, t] + np.clip((gamma * h1 - slope1) / (2.0 * gamma), h0, h1)
+        better = _solve(sweep, k, theta)[np.arange(k.size), t] > sweep.best[k, t]
+        sweep.best_theta[k[better], t[better]] = theta[better]
 
 
 def _tangent_wedges(supports: np.ndarray, solved: np.ndarray):
@@ -697,14 +700,11 @@ def truncation_inclusion_check(
     """Largest excess, max_j (h_T(phi_j) - U_j), of the ``n_rows``
     truncation's support over certified upper bounds U_j.
 
-    U_j is the report's ``upper_j`` where the report was swept at
-    ``SUPPORT_RTOL`` or that bound is already within the sweep's
-    ``SUPPORT_RTOL`` tolerance (plus twice its rounding allowance) of the
-    attained support ``samples[j, 0]``.  Elsewhere it is the bound of
-    certifying direction j's pair alone at ``SUPPORT_RTOL``
-    (``_certified_maxima`` from the report's start grid), so the excess is
-    the same, to within that tolerance, whatever ``support_rtol`` the report
-    was swept at.
+    U_j is the report's ``upper_j`` if it was swept at ``SUPPORT_RTOL``,
+    else the bound of certifying direction j's pair alone at
+    ``SUPPORT_RTOL`` (``_certified_maxima`` from the report's start grid),
+    so the excess is the same, to within that tolerance, whatever
+    ``support_rtol`` the report was swept at.
 
     Truncation ranges lie in the range closure, so the excess is <= 0 up to
     eigenvalue rounding.  Every 8th direction pair is solved first.  The
@@ -727,13 +727,11 @@ def truncation_inclusion_check(
     margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
     half = _solved_count(phi_count)
     harmonics = symbol_harmonics(spec)
-    tolerance, rounding = _allowances(harmonics, SUPPORT_RTOL)
+    _, rounding = _allowances(harmonics, SUPPORT_RTOL)
     certified = report._certified.setdefault((harmonics.shape, harmonics.tobytes()), {})
-    attained = report.samples[:, 0]
-    # bound[j] is U_j where ``known``, elsewhere the floor attained_j - rounding.
-    fine = upper - attained <= tolerance + 2.0 * rounding
-    known = fine | (report.support_rtol <= SUPPORT_RTOL)
-    bound = np.where(known, upper, attained - rounding)
+    # bound[j] is U_j where ``known``, elsewhere the floor samples[j, 0] - rounding.
+    known = np.full(phi_count, report.support_rtol <= SUPPORT_RTOL)
+    bound = np.where(known, upper, report.samples[:, 0] - rounding)
     for j, alone in certified.items():
         bound[j], known[j] = alone, True
     supports = np.zeros(phi_count)

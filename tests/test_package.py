@@ -10,7 +10,16 @@ import pytest
 import toeprange
 from toeprange import cli, linalg
 from toeprange.curves import dual_quartic, hyperbolicity_test, nonrepresentability_report
-from toeprange.operators import counterexample_spec, free_jacobi_spec, is_selfadjoint, truncation
+from toeprange.operators import (
+    block_diagonalization_residual,
+    c_mu,
+    counterexample_spec,
+    free_jacobi_spec,
+    is_selfadjoint,
+    lifting_residual_max,
+    spectrum_match_gap,
+    truncation,
+)
 from toeprange.ranges import flat_table, operator_range, selfadjoint_interval, symbol_ranges
 
 COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
@@ -279,10 +288,15 @@ def test_one_byte_cap():
         lambda: truncation(counterexample_spec(), 5),
         lambda: is_selfadjoint(counterexample_spec()),
         lambda: cli.main(["symbol", COUNTEREXAMPLE]),
+        lambda: c_mu(counterexample_spec(), 3),
+        lambda: block_diagonalization_residual(counterexample_spec(), 3),
+        lambda: spectrum_match_gap(counterexample_spec(), 3),
+        lambda: lifting_residual_max(counterexample_spec(), 3),
     ],
     ids=["operator_range", "selfadjoint_interval", "flat_table", "symbol_ranges",
          "hyperbolicity_test", "nonrepresentability_report", "truncation", "is_selfadjoint",
-         "cli_symbol"],
+         "cli_symbol", "c_mu", "block_diagonalization_residual", "spectrum_match_gap",
+         "lifting_residual_max"],
 )
 def test_one_lowered_cap_reaches_every_charge(monkeypatch, capsys, run):
     monkeypatch.setattr(linalg, "BYTE_CAP", 1)

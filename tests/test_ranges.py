@@ -862,6 +862,32 @@ class TestCertifiedSupports:
         assert np.max(report.upper - report.samples[:, 0]) <= 1e-4
 
     @pytest.mark.parametrize(
+        "spec, theta_count, phi_count, eigvalsh",
+        [
+            (counterexample_spec(), 16, 720, 18_890),
+            (PERIOD8, 90, 720, 32_333),
+            (random_spec(np.random.default_rng(0), 16, 8), 16, 360, 17_200),
+            # REFINE_BUDGET binds here.
+            (ROTATED_FEJER, 16, 360, 265_024),
+        ],
+        ids=["counterexample", "period8", "period16", "fejer"],
+    )
+    def test_solve_counts_are_pinned(self, monkeypatch, spec, theta_count, phi_count, eigvalsh):
+        # Matrices solved per routine, counted at the one LAPACK entry point:
+        # the branch and bound's eigvalsh and one final eigh per direction.
+        solved = {}
+
+        def counting(solver, a, **kwargs):
+            name = solver.__name__
+            solved[name] = solved.get(name, 0) + int(np.prod(np.shape(a)[:-2]))
+            return solver(a, **kwargs)
+
+        monkeypatch.setattr(ranges.linalg, "lapack", counting)
+        operator_range(spec, theta_count, phi_count)
+        assert solved["eigvalsh"] == eigvalsh
+        assert solved["eigh"] == phi_count
+
+    @pytest.mark.parametrize(
         "spec, phi_count, sizes",
         [
             (counterexample_spec(), 720, (3, 10, 40, 124)),
@@ -987,9 +1013,7 @@ class TestScreenedInclusionCheck:
         report = operator_range(spec, phi_count=phi_count, support_rtol=1e-4)
         half = phi_count // 2 if phi_count % 2 == 0 else phi_count
         _, alone = ranges._certified_maxima(spec, report.theta_count, phi_count, np.arange(half))
-        tolerance, rounding = ranges._allowances(symbol_harmonics(spec), SUPPORT_RTOL)
-        fine = report.upper - report.samples[:, 0] <= tolerance + 2 * rounding
-        bounds = np.where(fine, report.upper, alone.T.ravel())
+        bounds = alone.T.ravel()
         for n in sizes:
             full = grid_supports(truncation(spec, n), phi_count)
             expected = float(np.max(full - bounds))
