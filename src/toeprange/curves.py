@@ -329,9 +329,10 @@ def hyperbolicity_test(form: TernaryForm, direction_count: int = 720) -> Hyperbo
     has only real roots, each within ``REAL_ROOT_RTOL`` as in
     ``univariate_real_root_count``.
 
-    Failure is certified by the worst witness direction; success is a
-    sampled property, not a certificate.  The direction grid always
-    includes ``a = pi/2``.
+    Failure rests on the worst witness direction, a numerical witness:
+    the count takes float companion roots within ``REAL_ROOT_RTOL``, so a
+    near-double real root can read as non-real.  Success is a sampled
+    property, not a certificate.  The grid always includes ``a = pi/2``.
     """
     lead = form.coefficients.get((form.degree, 0, 0), 0.0)
     if lead == 0.0:

@@ -26,6 +26,7 @@ the directions; a boundary point is one top eigenpair at its own direction.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,9 +144,9 @@ class ConvexPolygon:
         return np.where(depth > 0, outside, depth)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RangeReport:
-    """Result bundle of a certified operator range sweep.
+    """Result bundle of a certified operator range sweep of ``spec``.
 
     Row ``j`` of ``samples`` (phi_count, 3) holds direction ``phi_j``'s
     columns (support value, x, y): the support of the boundary point (x, y)
@@ -161,11 +162,7 @@ class RangeReport:
     residual_summary: dict[str, float]
     upper: np.ndarray
     support_rtol: float = SUPPORT_RTOL
-    # Bounds ``truncation_inclusion_check`` certified at SUPPORT_RTOL, by the
-    # spec's harmonics (shape and bytes) and then by direction, so each
-    # direction pair of a spec is certified at most once per report.
-    _certified: dict[tuple, dict[int, float]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    spec: PeriodicBandedSpec | None = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         """The range document: grid sizes, residuals and the polygon.  The
@@ -676,6 +673,7 @@ def operator_range(
         },
         upper=upper,
         support_rtol=support_rtol,
+        spec=spec,
     )
 
 
@@ -695,10 +693,12 @@ def selfadjoint_interval(
 
 
 def truncation_inclusion_check(
-    spec: PeriodicBandedSpec, n_rows: int, report: RangeReport
-) -> float:
+    spec: PeriodicBandedSpec, n_rows: int | Sequence[int], report: RangeReport
+) -> float | list[float]:
     """Largest excess, max_j (h_T(phi_j) - U_j), of the ``n_rows``
-    truncation's support over certified upper bounds U_j.
+    truncation's support over certified upper bounds U_j, or a list of them
+    for a sequence of sizes.  Neither argument is modified, and ``report``
+    must be swept for a spec with ``spec``'s harmonics.
 
     U_j is the report's ``upper_j`` if it was swept at ``SUPPORT_RTOL``,
     else the bound of certifying direction j's pair alone at
@@ -715,60 +715,60 @@ def truncation_inclusion_check(
     that floor while U_j is not yet known, reaches the best excess among
     directions whose U_j is known, less a rounding margin.  Candidate gaps
     are bisected and candidate pairs certified (the largest candidate's
-    pair first, each pair at most once per report and spec, which keeps
-    their bounds for later checks) until none is left; the result equals
-    the maximum over every direction.
+    pair first, each pair at most once per call, its bounds shared by the
+    later sizes) until none is left; the result equals the maximum over
+    every direction.
     """
     phi_count = report.phi_count
     upper = np.asarray(report.upper, dtype=float)
     if upper.shape != (phi_count,):
         raise ValueError(f"the report's upper bounds have shape {upper.shape}, not ({phi_count},)")
-    t_n = truncation(spec, n_rows)
-    margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
-    half = _solved_count(phi_count)
     harmonics = symbol_harmonics(spec)
+    if report.spec is None or not np.array_equal(harmonics, symbol_harmonics(report.spec)):
+        raise ValueError("the report was not swept for a spec with these harmonics")
+    half = _solved_count(phi_count)
     _, rounding = _allowances(harmonics, SUPPORT_RTOL)
-    certified = report._certified.setdefault((harmonics.shape, harmonics.tobytes()), {})
     # bound[j] is U_j where ``known``, elsewhere the floor samples[j, 0] - rounding.
     known = np.full(phi_count, report.support_rtol <= SUPPORT_RTOL)
     bound = np.where(known, upper, report.samples[:, 0] - rounding)
-    for j, alone in certified.items():
-        bound[j], known[j] = alone, True
-    supports = np.zeros(phi_count)
-    solved = np.zeros(phi_count, dtype=bool)
-    new = np.arange(0, half, 8)
-    while True:
-        values, _ = _extreme_eigs(t_n, TAU * new / phi_count)
-        directions, values, _ = _antipodes(new, phi_count, values)
-        supports[directions], solved[directions] = values, True
-        exact = solved & known
-        excess = supports - bound
-        best = float(np.max(excess[exact], initial=-np.inf))
-        open_, wedge, a, gap = _tangent_wedges(supports, solved)
-        excess[open_] = wedge - bound[open_]
-        reach = ~exact & (excess >= best - margin)
-        loose = reach & solved
-        if loose.any():
-            # One pair at a time, the largest candidate's first: its bound
-            # may raise the best excess past the other candidates.
-            loose &= excess == np.max(excess[loose])
-        pick = np.zeros(half, dtype=bool)
-        pick[np.flatnonzero(loose) % half] = True
-        pairs = np.flatnonzero(pick)
-        if pairs.size:
-            # Certified pairs change the best excess and the candidates, so
-            # the truncation is solved further only once none is left.
-            _, alone = _certified_maxima(spec, report.theta_count, phi_count, pairs)
-            directions = pairs[:, None] + half * np.arange(alone.shape[1])
-            bound[directions], known[directions] = alone, True
-            certified.update(zip(directions.ravel().tolist(), alone.ravel().tolist()))
-            new = pairs[:0]
-            continue
-        ends = reach[open_]
-        pick[(a[ends] + gap[ends] // 2) % phi_count % half] = True
-        new = np.flatnonzero(pick)
-        if not new.size:
-            return best
+    excesses = []
+    for n in [n_rows] if np.ndim(n_rows) == 0 else n_rows:
+        t_n = truncation(spec, n)
+        margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
+        supports = np.zeros(phi_count)
+        solved = np.zeros(phi_count, dtype=bool)
+        new = pairs = np.arange(0, half, 8)
+        while new.size or pairs.size:
+            values, _ = _extreme_eigs(t_n, TAU * new / phi_count)
+            directions, values, _ = _antipodes(new, phi_count, values)
+            supports[directions], solved[directions] = values, True
+            exact = solved & known
+            excess = supports - bound
+            best = float(np.max(excess[exact], initial=-np.inf))
+            open_, wedge, a, gap = _tangent_wedges(supports, solved)
+            excess[open_] = wedge - bound[open_]
+            reach = ~exact & (excess >= best - margin)
+            loose = reach & solved
+            if loose.any():
+                # One pair at a time, the largest candidate's first: its
+                # bound may raise the best excess past the other candidates.
+                loose &= excess == np.max(excess[loose])
+            pick = np.zeros(half, dtype=bool)
+            pick[np.flatnonzero(loose) % half] = True
+            pairs = np.flatnonzero(pick)
+            if pairs.size:
+                # Certified pairs change the best excess and the candidates,
+                # so the truncation is solved further only once none is left.
+                _, alone = _certified_maxima(spec, report.theta_count, phi_count, pairs)
+                directions = pairs[:, None] + half * np.arange(alone.shape[1])
+                bound[directions], known[directions] = alone, True
+                new = pairs[:0]
+                continue
+            ends = reach[open_]
+            pick[(a[ends] + gap[ends] // 2) % phi_count % half] = True
+            new = np.flatnonzero(pick)
+        excesses.append(best)
+    return excesses[0] if np.ndim(n_rows) == 0 else excesses
 
 
 def hausdorff_distance(p: ConvexPolygon, q: ConvexPolygon) -> float:

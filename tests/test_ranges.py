@@ -1,6 +1,8 @@
 """Support sweeps, convex hulls, and range assembly."""
 
 import argparse
+import copy
+import dataclasses
 import json
 import math
 import os
@@ -721,7 +723,7 @@ class TestRangeReport:
     def test_empty_samples_roundtrip(self):
         report = operator_range(counterexample_spec(), 4, 4)
         doc = report.to_dict()
-        report.samples = report.samples[:0]
+        report = dataclasses.replace(report, samples=report.samples[:0])
         assert report.to_dict() == doc
         assert json.loads(json.dumps(doc)) == doc
         assert _table_text(report.samples, 4, 4) == "theta phi support_value x y\n"
@@ -1029,35 +1031,72 @@ class TestScreenedInclusionCheck:
             return certify(spec, theta_count, phi_count, pairs)
 
         monkeypatch.setattr(ranges, "_certified_maxima", counting)
-        for n in (28, 60, 124):
-            truncation_inclusion_check(PERIOD8, n, report)
-        # Each pair at most once across the three checks of one report, and
+        truncation_inclusion_check(PERIOD8, [28, 60, 124], report)
+        # Each pair at most once across the three sizes of one call, and
         # only a few of 360.
         assert 0 < len(requested) == len(set(requested)) <= 8
 
-    def test_ledger_is_kept_per_spec(self, monkeypatch):
-        # A report checked against a second spec certifies that spec's own
-        # bounds: doubling the symbol doubles every bound, so the check
-        # requests the same pairs, and returns the same excess, as on a
-        # report no other spec was checked against.
-        doubled = PeriodicBandedSpec(
-            PERIOD8.period, PERIOD8.band, {r: 2 * seq for r, seq in PERIOD8.diagonals.items()})
-        fresh, report = (operator_range(PERIOD8, 90, 720, support_rtol=1e-4) for _ in range(2))
-        truncation_inclusion_check(PERIOD8, 60, report)
-        certify, requested = ranges._certified_maxima, []
+    def test_pins_the_work_of_one_call_over_three_sizes(self, monkeypatch):
+        # The seed-0 verify-trunc spec at s = 4, 8, 16: the sizes share the
+        # bounds the call certifies, so pairs 104, 102 and 103 are certified
+        # at n = 28, pair 100 at n = 60 and none at n = 124.
+        fresh = [truncation_inclusion_check(PERIOD8, n,
+                                            operator_range(PERIOD8, 90, 720, support_rtol=1e-4))
+                 for n in (28, 60, 124)]
+        report = operator_range(PERIOD8, 90, 720, support_rtol=1e-4)
+        certify, requested, solved = ranges._certified_maxima, [], {}
 
         def counting(spec, theta_count, phi_count, pairs):
-            requested.extend(pairs)
+            requested.extend(pairs.tolist())
             return certify(spec, theta_count, phi_count, pairs)
 
+        def solving(solver, a, **kwargs):
+            if solver.__name__ == "eigvalsh" and np.shape(a)[-1] > PERIOD8.period:
+                size = np.shape(a)[-1]
+                solved[size] = solved.get(size, 0) + int(np.prod(np.shape(a)[:-2]))
+            return solver(a, **kwargs)
+
         monkeypatch.setattr(ranges, "_certified_maxima", counting)
+        monkeypatch.setattr(ranges.linalg, "lapack", solving)
+        assert truncation_inclusion_check(PERIOD8, [28, 60, 124], report) == fresh
+        assert solved == {28: 48, 60: 49, 124: 76}
+        assert requested == [104, 102, 103, 100]
 
-        def check(report):
-            requested.clear()
-            return truncation_inclusion_check(doubled, 60, report), list(requested)
+    def test_check_modifies_neither_argument(self):
+        def same(a, b):
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(
+                    same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+            if isinstance(a, np.ndarray):
+                return a.dtype == b.dtype and np.array_equal(a, b)
+            return type(a) is type(b) and a == b
 
-        expected = check(fresh)
-        assert expected[1] and check(report) == expected
+        report = operator_range(PERIOD8, 90, 720, support_rtol=1e-4)
+        before, spec = copy.deepcopy(report), copy.deepcopy(PERIOD8)
+        truncation_inclusion_check(PERIOD8, [28, 60], report)
+        assert same(report, before) and same(PERIOD8, spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.upper = before.upper
+
+    def test_report_of_another_spec_is_refused(self):
+        # Against the counterexample's report, the n = 40 truncation of the
+        # doubled counterexample would read +2.47 and of the halved one
+        # -0.75; against their own reports both read below zero.
+        spec = counterexample_spec()
+        report = operator_range(spec)
+        for factor in (2.0, 0.5):
+            scaled = PeriodicBandedSpec(
+                spec.period, spec.band, {r: factor * seq for r, seq in spec.diagonals.items()})
+            with pytest.raises(ValueError, match="not swept for a spec with these harmonics"):
+                truncation_inclusion_check(scaled, 40, report)
+            assert truncation_inclusion_check(scaled, 40, operator_range(scaled)) <= 1e-8
+        # An equal spec built anew is accepted, and a report without a spec
+        # is refused.
+        assert truncation_inclusion_check(counterexample_spec(), 40, report) <= 1e-8
+        with pytest.raises(ValueError, match="not swept"):
+            truncation_inclusion_check(spec, 40, dataclasses.replace(report, spec=None))
 
     def test_numpy_ma_is_not_imported(self):
         # np.unique and np.setdiff1d import numpy.ma, which costs more start-up

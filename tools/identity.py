@@ -1,19 +1,23 @@
 """Run a fixed set of CLI commands and record everything they produce.
 
-    python3 tools/identity.py OUTDIR
+    python3 tools/identity.py OUTDIR [--src DIR]
 
 Each command runs with OUTDIR as its working directory, against the
-``src/`` tree next to this script, and writes ``OUTDIR/<name>/stdout``,
-``stderr``, ``exit`` and, where it takes ``--out``, its output file.  The
-bundled ``specs/*.json`` are copied to ``OUTDIR/specs`` and the seeded
-specs (``random_spec(default_rng(seed), period, band)``) written beside
-them, so every path a command sees is relative and the same in every
-run.  Two runs, one per checkout, are compared with ``diff -r``: a change
-that should leave outputs alone must leave the two trees identical.
+package tree ``DIR`` (default: the ``src/`` next to this script), and
+writes ``OUTDIR/<name>/stdout``, ``stderr``, ``exit`` and, where it takes
+``--out``, its output file.  The bundled ``specs/*.json`` next to this
+script are copied to ``OUTDIR/specs`` and the seeded specs
+(``random_spec(default_rng(seed), period, band)``, from this script's own
+``src/``) written beside them, so every path a command sees is relative
+and every run reads the same inputs.  Two runs are compared with
+``diff -r``: one with ``--src`` pointing at another checkout's ``src/``,
+one without.  A change that should leave outputs alone must leave the two
+trees identical.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -76,12 +80,14 @@ def write_specs(directory: Path) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python3 tools/identity.py OUTDIR", file=sys.stderr)
-        return 2
-    out = Path(argv[0]).resolve()
+    parser = argparse.ArgumentParser(description="Record the outputs of a fixed command set.")
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="package tree the commands run against (default: %(default)s)")
+    options = parser.parse_args(argv)
+    out = options.outdir.resolve()
     write_specs(out / "specs")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(options.src.resolve())}
     for name, args in commands().items():
         run_dir = out / name
         run_dir.mkdir(parents=True, exist_ok=True)
