@@ -113,6 +113,89 @@ def _rotated_parts(terms: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return parts[:n].view(complex).reshape(n, d, d)
 
 
+def compression_extremes(values, removed) -> np.ndarray:
+    """Bottom and top eigenvalues (c, 2) of each compression H_11 of a
+    Hermitian H = Q diag(lambda) Q* (mu x mu) onto all but k of its
+    coordinates, from the c rows of ``values`` (c, mu), the lambda, and of
+    ``removed`` (c, k, mu), the k removed rows of Q.  The bottom is minus
+    the top of -H, whose removed rows are the same.
+
+    For sigma above every far pole (all but the k + 1 largest lambda), let
+    F(sigma) = sum_far x x* / (lambda - sigma), x a column of ``removed``,
+    and Z(sigma) = [[F, X_N], [X_N*, sigma - lambda_N]], X_N the columns of
+    the k + 1 near poles lambda_N.  Eliminating the far poles from the
+    bordered matrix [[diag(lambda) - sigma, X*], [X, 0]], whose inertia is
+    In(H_11 - sigma) plus k of each sign, gives Haynsworth's inertia count
+    #{eig(H_11) > sigma} = n_-(Z(sigma)) - k.  The top eigenvalue lies in
+    [lambda_(k+1), lambda_(1)] by Cauchy interlacing; each step counts at
+    sigma to shrink that bracket, then, with the far part linearized, solves
+    Z(sigma) + Delta diag(F', I) = 0, F' = sum_far x x* / (lambda - sigma)^2,
+    for its (k+1)-th largest root Delta, the model's count dropping to zero
+    there.  The near poles enter Z linearly, so the steps start at
+    lambda_(1), where the count is known to be zero.  A step that fails (F'
+    singular), leaves the bracket or is more than half the one before is
+    replaced by bisection, so the bracket halves at least every second step.
+    A row stops when its bracket or its step Delta is within tol = 4 eps (1
+    + max |lambda|), or once |Delta| (|Delta| / previous step)^2 is, the
+    error left after a step that converges quadratically."""
+    values = np.asarray(values, dtype=float)
+    c, mu = values.shape
+    k = removed.shape[1]
+    # Rows 0..c-1 are H, rows c..2c-1 are -H; row i takes removed[i % c].
+    values = np.concatenate([values, -values])
+    top = np.max(values, axis=1)
+    if k == 0:
+        return np.column_stack([-top[c:], top[:c]])
+    order = np.argsort(values, axis=1)[:, mu - k - 1:]
+    lam_n = np.take_along_axis(values, order, axis=1)
+    # The far poles' values, -inf at the near ones so that their weight is 0.
+    lam_f = values.copy()
+    np.put_along_axis(lam_f, order, -np.inf, axis=1)
+    lo, hi = lam_n[:, 0].copy(), lam_n[:, -1].copy()
+    tol = 4.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(values), axis=1))
+    active = hi - lo > tol
+    sigma, last = hi.copy(), np.full(2 * c, np.inf)
+    near = np.arange(k, 2 * k + 1)
+    for _ in range(4 * np.finfo(float).nmant):
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        s, x = sigma[rows], removed[rows % c]
+        scaled = x * (1.0 / (lam_f[rows] - s[:, None]))[:, None, :]
+        far = scaled @ np.conj(np.swapaxes(x, 1, 2))
+        f_values, f_vectors = lapack(np.linalg.eigh, scaled @ np.conj(np.swapaxes(scaled, 1, 2)))
+        x_n = np.take_along_axis(x, order[rows, None, :], axis=2)
+        del x, scaled
+        ok = f_values[:, 0] > np.finfo(float).eps * (2 * k + 1) * f_values[:, -1]
+        # T F' T* = I where F' is positive definite; elsewhere T = I, which
+        # keeps the count and leaves no step.
+        scale = np.where(ok[:, None], f_values, 1.0) ** -0.5
+        t = np.where(ok[:, None, None],
+                     scale[:, :, None] * np.conj(np.swapaxes(f_vectors, 1, 2)), np.eye(k))
+        z = np.zeros((rows.size, 2 * k + 1, 2 * k + 1), dtype=complex)
+        z[:, :k, :k] = t @ far @ np.conj(np.swapaxes(t, 1, 2))
+        z[:, :k, k:] = t @ x_n
+        z[:, k:, :k] = np.conj(np.swapaxes(z[:, :k, k:], 1, 2))
+        z[:, near, near] = s[:, None] - lam_n[rows]
+        e = lapack(np.linalg.eigvalsh, z)
+        above = (np.count_nonzero(e < 0, axis=1) > k) & (s < hi[rows])
+        lo[rows[above]], hi[rows[~above]] = s[above], s[~above]
+        delta = -e[:, k]
+        size, before = np.abs(delta), np.where(np.isfinite(last[rows]), last[rows], 0.0)
+        done = ok & ((size <= tol[rows]) | (size**3 <= tol[rows] * before**2))
+        top[rows[done]] = s[done] + delta[done]
+        closed = ~done & (hi[rows] - lo[rows] <= tol[rows])
+        top[rows[closed]] = 0.5 * (lo[rows[closed]] + hi[rows[closed]])
+        active[rows[done | closed]] = False
+        tau = s + delta
+        step = ok & (tau > lo[rows]) & (tau < hi[rows]) & (size <= 0.5 * last[rows])
+        sigma[rows] = np.where(step, tau, 0.5 * (lo[rows] + hi[rows]))
+        last[rows] = np.where(step, size, np.inf)
+    else:
+        raise EigenSolverError("the compressed eigenvalue bracket did not close")
+    return np.column_stack([-top[c:], top[:c]])
+
+
 def lapack(solver, *args, **kwargs):
     """Apply a ``numpy.linalg`` decomposition such as ``np.linalg.eigh``
     (``solver``).  A LAPACK failure raises ``EigenSolverError``, not the

@@ -355,6 +355,45 @@ def lift_eigenvector(v, frequency: int, replication: int) -> np.ndarray:
     return lifted
 
 
+class TruncationSection:
+    """The truncation of ``n_rows`` as the leading block of ``c_mu(spec, s)``,
+    s = max(ceil((n_rows + m) / (n+1)), ceil((2m + 1) / (n+1))): an entry of
+    C_mu wraps by mu = s(n+1) >= n_rows + m columns, past the band of every
+    entry of that block.  ``fractions`` holds the angles theta_q = 2 pi q / s
+    of the symbols C_mu splits into as reduced (q, s) pairs, ``position`` the
+    in-block row p of each of the k = mu - n_rows removed coordinates
+    r = u(n+1) + p, and ``phases`` (s, k) the entry e^{2 pi i u q / s} /
+    sqrt(s) of ``lift_eigenvector``'s unit lift there, per unit of entry p.
+    ``max_entry`` is ``max_norm(truncation(spec, n_rows))``: entry (a, b) of
+    A_u first sits in block row max(0, -u) and block column max(0, u) of
+    the truncation, so it is used where both fall within n_rows."""
+
+    def __init__(self, spec: PeriodicBandedSpec, n_rows: int):
+        if n_rows < 1:
+            raise ValueError("truncation size must be >= 1")
+        if n_rows > MATRIX_SIZE_CAP:
+            raise ValueError(f"truncation size {n_rows} exceeds cap {MATRIX_SIZE_CAP}")
+        d, m = spec.period, spec.band
+        self.n_rows, self.s = n_rows, max(-(-(n_rows + m) // d), -(-(2 * m + 1) // d))
+        s = self.s
+        q = np.arange(s)
+        common = np.gcd(q, s)
+        self.fractions = list(zip((q // common).tolist(), (s // common).tolist()))
+        block, self.position = np.divmod(np.arange(n_rows, s * d), d)
+        self.phases = np.exp(2j * np.pi * (np.outer(q, block) % s) / s) / math.sqrt(s)
+        harmonics = symbol_harmonics(spec)
+        u, p = np.arange(len(harmonics))[:, None, None] - len(harmonics) // 2, np.arange(d)
+        used = (np.maximum(0, -u) * d + p[:, None] < n_rows) & (np.maximum(0, u) * d + p < n_rows)
+        self.max_entry = float(np.max(np.abs(harmonics), where=used, initial=0.0))
+
+    def removed_rows(self, rows) -> np.ndarray:
+        """The removed rows (c, k, mu) of the unit lifts of c stacks of
+        eigenvector matrices, from their rows ``rows`` (c, s, k, d) at the
+        removed positions: column q(n+1) + i lifts eigenvector i at theta_q."""
+        c, s, k, d = rows.shape
+        return np.swapaxes(self.phases[:, :, None] * rows, 1, 2).reshape(c, k, s * d)
+
+
 def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
     """Largest gap between ``log|det(z - C_mu)|`` and the same sum over the
     eigenvalues of the symbols at the s-th roots of unity, taken at 64
@@ -379,17 +418,18 @@ def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
 def lifting_residual_max(spec: PeriodicBandedSpec, s: int) -> float:
     """Worst residual ``|C_mu w - lambda w|`` over all lifted unit
     eigenvectors of all symbols at the s-th roots of unity, scaled by
-    ``1 + |lambda|``."""
+    ``1 + |lambda|``.  The s (n+1) lifts, ``lift_eigenvector``'s entries,
+    are the columns of one mu x mu matrix, so C_mu takes one product."""
     c = c_mu(spec, s)
     values, vectors = lapack(np.linalg.eig, symbol_batch(spec, TAU * np.arange(s) / s))
-    worst = 0.0
-    for r in range(s):
-        for lam, vec in zip(values[r], vectors[r].T):
-            lifted = lift_eigenvector(vec, r, s)
-            w = lifted / np.linalg.norm(lifted)
-            residual = float(np.linalg.norm(c @ w - lam * w)) / (1.0 + abs(lam))
-            worst = max(worst, residual)
-    return worst
+    r = np.arange(s)
+    # Row u (n+1) + p, column q (n+1) + i: vectors[q, p, i] rho^(u q).
+    phases = np.exp(2j * np.pi * r * r[:, None] / s)
+    lifted = (phases[:, None, :, None] * np.swapaxes(vectors, 0, 1)).reshape(c.shape)
+    lifted /= np.linalg.norm(lifted, axis=0)
+    values = values.ravel()
+    residuals = np.linalg.norm(c @ lifted - lifted * values, axis=0) / (1.0 + np.abs(values))
+    return float(np.max(residuals))
 
 
 def random_spec(

@@ -21,6 +21,11 @@ Direction grids are uniform, ``phi_j = 2*pi*j/P``.  For even ``P`` one
 Hermitian eigensolve serves the antipodal pair ``phi_j``, ``phi_j + pi``
 (top and negated bottom eigenvalue), so the sweeps in ``theta`` solve half
 the directions; a boundary point is one top eigenpair at its own direction.
+
+A truncation T_n is never formed: it is the leading block of the block
+circulant C_mu, which the Fourier unitary splits into symbols, so its
+extreme eigenvalues in a direction come from those symbols' d x d parts and
+a small secular solve on the k = mu - n coordinates C_mu has beyond T_n.
 """
 
 from __future__ import annotations
@@ -32,15 +37,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix, max_norm
+from .linalg import as_matrix
 from .operators import (
     TAU,
     PeriodicBandedSpec,
     SpecError,
     is_selfadjoint,
     symbol_batch,
+    TruncationSection,
     symbol_harmonics,
-    truncation,
 )
 
 HULL_COLLINEARITY_RTOL = 1e-12
@@ -164,6 +169,14 @@ class RangeReport:
     support_rtol: float = SUPPORT_RTOL
     spec: PeriodicBandedSpec | None = field(default=None, compare=False, repr=False)
 
+    def __post_init__(self):
+        # Read-only copies, as the polygon's vertices: the bounds a check
+        # compares against cannot be edited through the report.
+        for name in ("samples", "upper"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
     def to_dict(self) -> dict:
         """The range document: grid sizes, residuals and the polygon.  The
         per-direction rows and bounds are not part of it."""
@@ -271,14 +284,16 @@ def _blocks(n: int, width: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, n, size)]
 
 
-def _extreme_eigs(basis, angles, matrices=None, thetas=None):
+def _extreme_eigs(basis, angles, matrices=None, thetas=None, keep=None):
     """Bottom and top eigenvalues, shape (n, 2), of the n rotated Hermitian
     parts ``rotated_hermitian_parts(basis, angles)``; with ``matrices`` also
     the Rayleigh values v* M_i v of the two eigenvectors, complex (n, 2),
     else None.  ``matrices(rows)`` returns the (c, d, d) matrices of an
     index slice, or one (d, d) matrix shared by all of them.  With
     ``thetas`` the basis holds harmonics A_u, u = -(K // 2), ..., K // 2,
-    and row i's angles are psi_u = angles[i] - u thetas[i].
+    and row i's angles are psi_u = angles[i] - u thetas[i].  With the row
+    indices ``keep`` instead all d eigenvalues (n, d) and the rows ``keep``
+    of the eigenvectors (n, len(keep), d).
 
     This is where eigensolve memory is sized: the basis's [Re B_k; Im B_k]
     stack is built once, then a chunk of ``_CHUNK_ENTRY_BUDGET // max(d^2,
@@ -289,11 +304,18 @@ def _extreme_eigs(basis, angles, matrices=None, thetas=None):
     terms, d = len(stack), stack.shape[-1]
     orders = np.arange(terms) - terms // 2
     n = len(angles)
-    values = np.empty((n, 2))
-    points = None if matrices is None else np.empty((n, 2), dtype=complex)
+    if keep is None:
+        values = np.empty((n, 2))
+        points = None if matrices is None else np.empty((n, 2), dtype=complex)
+    else:
+        values, points = np.empty((n, d)), np.empty((n, len(keep), d), dtype=complex)
     for rows in _blocks(n, max(d * d, 2 * terms)):
         psi = angles[rows] if thetas is None else angles[rows, None] - orders * thetas[rows, None]
         herm = linalg._rotated_parts(stack, psi)
+        if keep is not None:
+            values[rows], vectors = linalg.lapack(np.linalg.eigh, herm)
+            points[rows] = vectors[:, keep]
+            continue
         if matrices is None:
             eigenvalues = linalg.lapack(np.linalg.eigvalsh, herm)
         else:
@@ -692,6 +714,41 @@ def selfadjoint_interval(
     return -float(upper[0, 1]), float(upper[0, 0])
 
 
+def _decompose(harmonics, pairs, phi_count: int, fractions, keep):
+    """All d eigenvalues (c, A, d) and the eigenvector rows ``keep`` (c, A,
+    len(keep), d) of Re(e^{-i phi} A(theta)) at the directions phi of the c
+    ``pairs`` and the A angles theta of the reduced (q, s) ``fractions``."""
+    num, den = np.array(fractions).T
+    values, rows = _extreme_eigs(harmonics, np.repeat(TAU * pairs / phi_count, len(fractions)),
+                                 thetas=np.tile(TAU * num / den, len(pairs)), keep=keep)
+    shape = (len(pairs), len(fractions), len(keep), values.shape[-1])
+    return values.reshape(shape[:2] + shape[3:]), rows.reshape(shape)
+
+
+def _truncation_extremes(harmonics, section: TruncationSection, pairs, phi_count: int,
+                         keep=None, start=None) -> np.ndarray:
+    """Bottom and top eigenvalues (len(pairs), 2) of Re(e^{-i phi_k} T_n) at
+    the directions of ``pairs``.  H = Re(e^{-i phi} C_mu) = Q diag(lambda) Q*
+    with Q the Fourier-lifted eigenvectors of its s symbol blocks, and T_n's
+    part is H's compression off the removed coordinates, so each pair's
+    blocks are decomposed (or taken from ``start``: decompositions at the
+    angles ``start[2]``, kept rows ``keep``) and compressed by
+    ``linalg.compression_extremes``, ``_blocks`` of pairs at a time, so that
+    each stack of blocks or removed rows stays within the chunk budget."""
+    keep = np.unique(section.position, return_index=True)[0] if keep is None else keep
+    where, mu = np.searchsorted(keep, section.position), section.s * len(harmonics[0])
+    values = np.empty((len(pairs), 2))
+    for rows in _blocks(len(pairs), mu * (len(keep) + 1 + 6 * len(where))):
+        if start is None:
+            lam, vec = _decompose(harmonics, pairs[rows], phi_count, section.fractions, keep)
+        else:
+            lam, vec = start[0][rows][:, start[2]], start[1][rows][:, start[2]]
+        values[rows] = linalg.compression_extremes(lam.reshape(len(lam), mu),
+                                                   section.removed_rows(vec[:, :, where]))
+        del lam, vec
+    return values
+
+
 def truncation_inclusion_check(
     spec: PeriodicBandedSpec, n_rows: int | Sequence[int], report: RangeReport
 ) -> float | list[float]:
@@ -706,12 +763,20 @@ def truncation_inclusion_check(
     so the excess is the same, to within that tolerance, whatever
     ``support_rtol`` the report was swept at.
 
+    The support h_T(phi) is the top eigenvalue of Re(e^{-i phi} T_n), and
+    T_n is the leading block of the block circulant C_mu (``TruncationSection``),
+    which the Fourier unitary splits into the symbols at theta_q = 2 pi q / s.
+    So each direction takes an ``eigh`` of s symbol blocks, d x d, and a
+    k x k secular count and step (``linalg.compression_extremes``) for its two
+    extremes, k = mu - n, instead of a dense n x n solve.
+
     Truncation ranges lie in the range closure, so the excess is <= 0 up to
-    eigenvalue rounding.  Every 8th direction pair is solved first.  The
-    support of a direction between two solved ones is at most that of the
-    wedge their tangent lines form, and no sound bound falls below
-    ``samples[j, 0]`` less the rounding allowance.  So a direction is a
-    candidate only while its solved or wedge support minus U_j, or minus
+    eigenvalue rounding.  Every 8th direction pair is solved first; those
+    start pairs are decomposed once for all sizes, at the union of their
+    angles.  The support of a direction between two solved ones is at most
+    that of the wedge their tangent lines form, and no sound bound falls
+    below ``samples[j, 0]`` less the rounding allowance.  So a direction is
+    a candidate only while its solved or wedge support minus U_j, or minus
     that floor while U_j is not yet known, reaches the best excess among
     directions whose U_j is known, less a rounding margin.  Candidate gaps
     are bisected and candidate pairs certified (the largest candidate's
@@ -731,15 +796,27 @@ def truncation_inclusion_check(
     # bound[j] is U_j where ``known``, elsewhere the floor samples[j, 0] - rounding.
     known = np.full(phi_count, report.support_rtol <= SUPPORT_RTOL)
     bound = np.where(known, upper, report.samples[:, 0] - rounding)
+    sections = [TruncationSection(spec, n) for n in ([n_rows] if np.ndim(n_rows) == 0 else n_rows)]
+    fractions = sorted({f for section in sections for f in section.fractions})
+    keep = np.unique(np.concatenate([section.position for section in sections]),
+                     return_index=True)[0]
+    start = np.arange(0, half, 8)
+    # The start pairs' eigenvalues and kept rows, and one chunk's stacks.
+    linalg.check_bytes(16 * start.size * len(fractions) * spec.period * (keep.size + 1)
+                       + 4 * 16 * _CHUNK_ENTRY_BUDGET,
+                       f"an inclusion check at {len(fractions)} symbol angles")
+    decomposed = _decompose(harmonics, start, phi_count, fractions, keep)
+    index = {f: i for i, f in enumerate(fractions)}
     excesses = []
-    for n in [n_rows] if np.ndim(n_rows) == 0 else n_rows:
-        t_n = truncation(spec, n)
-        margin = 1e-12 * (1.0 + (2 * spec.band + 1) * max_norm(t_n))
+    for section in sections:
+        at = [index[f] for f in section.fractions]
+        margin = 1e-12 * (1.0 + (2 * spec.band + 1) * section.max_entry)
         supports = np.zeros(phi_count)
         solved = np.zeros(phi_count, dtype=bool)
-        new = pairs = np.arange(0, half, 8)
+        new = pairs = start
         while new.size or pairs.size:
-            values, _ = _extreme_eigs(t_n, TAU * new / phi_count)
+            values = _truncation_extremes(harmonics, section, new, phi_count, keep,
+                                          (*decomposed, at) if new is start else None)
             directions, values, _ = _antipodes(new, phi_count, values)
             supports[directions], solved[directions] = values, True
             exact = solved & known

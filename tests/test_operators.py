@@ -14,6 +14,7 @@ from toeprange.operators import (
     TAU,
     PeriodicBandedSpec,
     SpecError,
+    TruncationSection,
     block_diagonalization_residual,
     c_mu,
     counterexample_spec,
@@ -207,6 +208,37 @@ class TestTruncation:
         monkeypatch.setattr(linalg, "BYTE_CAP", peak - 1)
         with pytest.raises(ValueError, match=f"at period {period} .* cap"):
             build(spec)
+
+
+class TestTruncationSection:
+    @pytest.mark.parametrize("selfadjoint", [False, True])
+    def test_leading_block_of_c_mu(self, selfadjoint):
+        # T_n is the leading block of C_mu; the removed rows are those of the
+        # unit lifts, and max_entry is the truncation's max norm.
+        rng = np.random.default_rng(27)
+        for period in range(1, 6):
+            for band in range(7):
+                spec = random_spec(rng, period, band, selfadjoint=selfadjoint)
+                for n in sorted({1, max(1, period - 1), period + 2, 3 * period + band}):
+                    section = TruncationSection(spec, n)
+                    mu = section.s * period
+                    assert mu >= n + band and mu >= 2 * band + 1
+                    t = truncation(spec, n)
+                    assert section.max_entry == max_norm(t)
+                    if section.s >= 2:
+                        assert np.array_equal(c_mu(spec, section.s)[:n, :n], t)
+                    vectors = rng.standard_normal((section.s, period, period)) + 0j
+                    removed = section.removed_rows(vectors[None, :, section.position, :])[0]
+                    lifts = np.stack([lift_eigenvector(v, q, section.s)
+                                      for q in range(section.s) for v in vectors[q].T], axis=1)
+                    assert np.allclose(removed, lifts[n:] / math.sqrt(section.s),
+                                       rtol=0, atol=1e-13)
+
+    def test_sizes_are_validated(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            TruncationSection(counterexample_spec(), 0)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            TruncationSection(counterexample_spec(), linalg.MATRIX_SIZE_CAP + 1)
 
 
 class TestSymbol:
@@ -574,17 +606,23 @@ class TestStructuralChecks:
         assert spectrum_match_gap(spec, 4) > 1e-8
 
     def test_lifting_matches_per_block_eig(self):
-        spec = random_spec(np.random.default_rng(0), 8, 4)
-        s = 4
-        c = c_mu(spec, s)
-        worst = 0.0
-        for r, phi in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
-            values, vectors = np.linalg.eig(phi)
-            for lam, vec in zip(values, vectors.T):
-                w = lift_eigenvector(vec, r, s)
-                w = w / np.linalg.norm(w)
-                worst = max(worst, float(np.linalg.norm(c @ w - lam * w)) / (1.0 + abs(lam)))
-        assert lifting_residual_max(spec, s) == worst
+        # The loop over lifts, one gemv each, is the reference; the one gemm
+        # over all lifts rounds differently, so the maxima agree to 1e-15.
+        rng = np.random.default_rng(26)
+        cases = [(random_spec(np.random.default_rng(0), 8, 4), 4),
+                 (random_spec(np.random.default_rng(0), 8, 4), 16),
+                 (counterexample_spec(), 3), (free_jacobi_spec(), 16)]
+        cases += [random_spec_with_s(rng) for _ in range(8)]
+        for spec, s in cases:
+            c = c_mu(spec, s)
+            worst = 0.0
+            for r, phi in enumerate(symbol_batch(spec, TAU * np.arange(s) / s)):
+                values, vectors = np.linalg.eig(phi)
+                for lam, vec in zip(values, vectors.T):
+                    w = lift_eigenvector(vec, r, s)
+                    w = w / np.linalg.norm(w)
+                    worst = max(worst, float(np.linalg.norm(c @ w - lam * w)) / (1.0 + abs(lam)))
+            assert abs(lifting_residual_max(spec, s) - worst) <= 1e-15
 
     @pytest.mark.parametrize(
         "check, routine",

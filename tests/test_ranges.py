@@ -28,6 +28,7 @@ from toeprange.operators import (
     symbol_batch,
     symbol_harmonics,
     truncation,
+    TruncationSection,
 )
 from toeprange.ranges import (
     REFINE_BUDGET,
@@ -103,6 +104,16 @@ def theta_reference(spec, phi_count, theta_count=4096):
     eigenvalues alone."""
     thetas = TAU * np.arange(theta_count) / theta_count
     return np.max([grid_supports(mat, phi_count) for mat in symbol_batch(spec, thetas)], axis=0)
+
+
+def section_supports(spec, n, phi_count):
+    """Supports of the ``n``-row truncation in every direction of the uniform
+    grid of ``phi_count``, from the solver the inclusion check uses, with
+    every pair in one call."""
+    pairs = np.arange(_solved_count(phi_count))
+    values = ranges._truncation_extremes(symbol_harmonics(spec), TruncationSection(spec, n),
+                                         pairs, phi_count)
+    return _antipodes(pairs, phi_count, values)[1]
 
 
 def band_width(spec) -> float:
@@ -234,9 +245,17 @@ class TestBatchedSupport:
             solved.update(eigh=0, eigvalsh=0)
             report = operator_range(spec, theta_count, phi_count)
             assert solved == {"eigh": phi_count, "eigvalsh": theta_count * pairs}
-        solved.update(eigh=0, eigvalsh=0)
+        # The truncation check solves at most 20 directions, each pair's
+        # bottom and top from one decomposition.
+        handed, extremes = [], ranges._truncation_extremes
+
+        def handing(harmonics, section, pairs, *args):
+            handed.append(len(pairs))
+            return extremes(harmonics, section, pairs, *args)
+
+        monkeypatch.setattr(ranges, "_truncation_extremes", handing)
         truncation_inclusion_check(spec, 12, report)
-        assert solved["eigh"] == 0 and 0 < solved["eigvalsh"] <= 20
+        assert 0 < sum(handed) <= 20
         # The start grid's bounds alone are sound.
         assert np.all(theta_reference(spec, 40, 512) <= report.upper)
         # The uniform sweeps solve each antipodal pair once per matrix.
@@ -613,7 +632,9 @@ class TestOperatorRange:
         assert calls and all(rows <= limit for rows, limit in calls)
 
     def test_hermitian_terms_are_built_once_per_solve(self, monkeypatch):
-        # A 124-row truncation check solves in chunks of 4 parts; the basis
+        # A 124-row truncation check decomposes its 45 start pairs at the 16
+        # symbol angles of s = 16, 720 parts of 8 x 8; at a quarter of the
+        # chunk budget that is 3 chunks of at most 256 parts.  The basis
         # stack is built once per ``_extreme_eigs`` call, not once per chunk.
         counts = {"_extreme_eigs": 0, "_hermitian_terms": 0, "_rotated_parts": 0}
 
@@ -627,12 +648,21 @@ class TestOperatorRange:
             monkeypatch.setattr(module, name, wrapper)
 
         report = operator_range(PERIOD8, 90, 720, support_rtol=1e-4)
+        monkeypatch.setattr(ranges, "_CHUNK_ENTRY_BUDGET", ranges._CHUNK_ENTRY_BUDGET // 4)
+        parts, rotated = [], linalg._rotated_parts
+
+        def recording(terms, psi):
+            parts.append(len(psi))
+            return rotated(terms, psi)
+
+        monkeypatch.setattr(linalg, "_rotated_parts", recording)
         for module, name in [(ranges, "_extreme_eigs"), (linalg, "_hermitian_terms"),
                              (linalg, "_rotated_parts")]:
             counting(module, name)
         truncation_inclusion_check(PERIOD8, 124, report)
         assert counts["_hermitian_terms"] == counts["_extreme_eigs"] > 0
         assert counts["_rotated_parts"] > counts["_extreme_eigs"]
+        assert parts[:3] == [256, 256, 208] and max(parts) <= 256
 
 
 class TestSelfadjointInterval:
@@ -709,7 +739,68 @@ class TestTruncationInclusion:
             assert gap <= 1e-9
 
 
+class TestTruncationSupports:
+    """The inclusion check's truncation supports, from C_mu's symbol blocks
+    and a secular solve, against dense ``np.linalg.eigvalsh`` of
+    Re(e^{-i phi} T_n), within 1e-13 (1 + (2m + 1) max |entry|)."""
+
+    @staticmethod
+    def assert_dense(spec, n, phi_count):
+        phis = TAU * np.arange(phi_count) / phi_count
+        rotated = np.exp(-1j * phis)[:, None, None] * truncation(spec, n)
+        dense = np.linalg.eigvalsh(0.5 * (rotated + np.conj(np.swapaxes(rotated, 1, 2))))[:, -1]
+        tol = 1e-13 * (1.0 + (2 * spec.band + 1) * spec.max_entry())
+        assert np.max(np.abs(section_supports(spec, n, phi_count) - dense)) <= tol
+
+    @pytest.mark.parametrize("phi_count", [72, 73])
+    def test_counterexample(self, phi_count):
+        for n in (1, 2, 3, 10, 40, 124):
+            self.assert_dense(counterexample_spec(), n, phi_count)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            load_spec(os.path.join(os.path.dirname(__file__), "..", "specs", "free_jacobi.json")),
+            load_spec(SELFADJOINT_PERIOD3),
+            # The bare secular step fails on these, so they bisect: a band-0
+            # diagonal, the period-1 shift and repeated diagonals.
+            PeriodicBandedSpec(3, 0, {0: [1.0, -2.0, 0.5j]}),
+            PeriodicBandedSpec(1, 2, {2: [1.0]}),
+            PeriodicBandedSpec(4, 2, {-1: [1.0] * 4, 1: [1.0] * 4, 2: [0.5] * 4}),
+        ],
+        ids=["free_jacobi", "selfadjoint_period3", "diagonal", "shift", "repeated"],
+    )
+    def test_structured_specs(self, spec):
+        for n in (1, 2, 3, 4, 7, 12, 30):
+            self.assert_dense(spec, n, 41)
+            self.assert_dense(spec, n, 40)
+
+    @pytest.mark.parametrize("selfadjoint", [False, True])
+    def test_random_specs(self, selfadjoint):
+        rng = np.random.default_rng(63)
+        for period in range(1, 6):
+            for band in range(7):
+                spec = random_spec(rng, period, band, selfadjoint=selfadjoint)
+                # Sizes below the period too.
+                for n in sorted({1, max(1, period - 1), period + band, 4 * period + 1}):
+                    self.assert_dense(spec, n, int(rng.integers(30, 34)))
+
+
 class TestRangeReport:
+    def test_arrays_are_read_only(self):
+        # Bounds edited through the report would turn a check's pass into a
+        # false FAIL (or the reverse); the report holds read-only copies.
+        samples = np.zeros((4, 3))
+        report = operator_range(counterexample_spec(), 4, 4)
+        for name in ("samples", "upper"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(report, name)[:] -= 1.0
+        built = dataclasses.replace(report, samples=samples)
+        samples[:] = 1.0
+        assert not built.samples.any()
+        with pytest.raises(ValueError, match="read-only"):
+            built.samples[0, 0] = 1.0
+
     def test_dict_roundtrip(self):
         # The document survives JSON text bit for bit: the polygon and the
         # residuals are the report's own.
@@ -901,7 +992,7 @@ class TestCertifiedSupports:
     def test_pruned_inclusion_check_is_the_full_grid_maximum(self, spec, phi_count, sizes):
         report = operator_range(spec, phi_count=phi_count)
         for n in sizes:
-            full = grid_supports(truncation(spec, n), phi_count)
+            full = section_supports(spec, n, phi_count)
             expected = float(np.max(full - report.upper))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
@@ -1017,7 +1108,7 @@ class TestScreenedInclusionCheck:
         _, alone = ranges._certified_maxima(spec, report.theta_count, phi_count, np.arange(half))
         bounds = alone.T.ravel()
         for n in sizes:
-            full = grid_supports(truncation(spec, n), phi_count)
+            full = section_supports(spec, n, phi_count)
             expected = float(np.max(full - bounds))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
@@ -1045,19 +1136,19 @@ class TestScreenedInclusionCheck:
                  for n in (28, 60, 124)]
         report = operator_range(PERIOD8, 90, 720, support_rtol=1e-4)
         certify, requested, solved = ranges._certified_maxima, [], {}
+        extremes = ranges._truncation_extremes
 
         def counting(spec, theta_count, phi_count, pairs):
             requested.extend(pairs.tolist())
             return certify(spec, theta_count, phi_count, pairs)
 
-        def solving(solver, a, **kwargs):
-            if solver.__name__ == "eigvalsh" and np.shape(a)[-1] > PERIOD8.period:
-                size = np.shape(a)[-1]
-                solved[size] = solved.get(size, 0) + int(np.prod(np.shape(a)[:-2]))
-            return solver(a, **kwargs)
+        def solving(harmonics, section, pairs, *args):
+            # The directions handed to the solver, per truncation size.
+            solved[section.n_rows] = solved.get(section.n_rows, 0) + len(pairs)
+            return extremes(harmonics, section, pairs, *args)
 
         monkeypatch.setattr(ranges, "_certified_maxima", counting)
-        monkeypatch.setattr(ranges.linalg, "lapack", solving)
+        monkeypatch.setattr(ranges, "_truncation_extremes", solving)
         assert truncation_inclusion_check(PERIOD8, [28, 60, 124], report) == fresh
         assert solved == {28: 48, 60: 49, 124: 76}
         assert requested == [104, 102, 103, 100]
