@@ -322,9 +322,15 @@ def fourier_unitary(n_plus_1: int, s: int) -> np.ndarray:
         raise ValueError("period must be >= 1")
     if s < 2:
         raise ValueError("replication count s must be >= 2")
-    u = np.arange(s)
-    dft = np.exp(2j * np.pi * np.outer(u, u) / s) / math.sqrt(s)
-    return np.kron(dft, np.eye(n_plus_1, dtype=complex))
+    return np.kron(_fourier_phases(s, np.arange(s)), np.eye(n_plus_1, dtype=complex))
+
+
+def _fourier_phases(s: int, blocks) -> np.ndarray:
+    """Entry (q, j), rho^(q u) / sqrt(s) with rho = exp(2 pi i / s) and
+    u = ``blocks[j]``, of the Fourier unitary's block row u at frequency q.
+    The exponent q u is reduced mod s, so the phases' rounding does not grow
+    with s."""
+    return np.exp(2j * np.pi * (np.outer(np.arange(s), blocks) % s) / s) / math.sqrt(s)
 
 
 def block_diagonalization_residual(spec: PeriodicBandedSpec, s: int) -> float:
@@ -349,49 +355,10 @@ def lift_eigenvector(v, frequency: int, replication: int) -> np.ndarray:
         raise ValueError("eigenvector must be one-dimensional")
     if not 0 <= frequency < replication:
         raise ValueError(f"frequency {frequency} not in 0..{replication - 1}")
-    phases = np.exp(2j * np.pi * frequency * np.arange(replication) / replication)
+    phases = _fourier_phases(replication, [frequency])[:, 0] * math.sqrt(replication)
     lifted = (phases[:, None] * base[None, :]).ravel()
     lifted.flags.writeable = False
     return lifted
-
-
-class TruncationSection:
-    """The truncation of ``n_rows`` as the leading block of ``c_mu(spec, s)``,
-    s = max(ceil((n_rows + m) / (n+1)), ceil((2m + 1) / (n+1))): an entry of
-    C_mu wraps by mu = s(n+1) >= n_rows + m columns, past the band of every
-    entry of that block.  ``fractions`` holds the angles theta_q = 2 pi q / s
-    of the symbols C_mu splits into as reduced (q, s) pairs, ``position`` the
-    in-block row p of each of the k = mu - n_rows removed coordinates
-    r = u(n+1) + p, and ``phases`` (s, k) the entry e^{2 pi i u q / s} /
-    sqrt(s) of ``lift_eigenvector``'s unit lift there, per unit of entry p.
-    ``max_entry`` is ``max_norm(truncation(spec, n_rows))``: entry (a, b) of
-    A_u first sits in block row max(0, -u) and block column max(0, u) of
-    the truncation, so it is used where both fall within n_rows."""
-
-    def __init__(self, spec: PeriodicBandedSpec, n_rows: int):
-        if n_rows < 1:
-            raise ValueError("truncation size must be >= 1")
-        if n_rows > MATRIX_SIZE_CAP:
-            raise ValueError(f"truncation size {n_rows} exceeds cap {MATRIX_SIZE_CAP}")
-        d, m = spec.period, spec.band
-        self.n_rows, self.s = n_rows, max(-(-(n_rows + m) // d), -(-(2 * m + 1) // d))
-        s = self.s
-        q = np.arange(s)
-        common = np.gcd(q, s)
-        self.fractions = list(zip((q // common).tolist(), (s // common).tolist()))
-        block, self.position = np.divmod(np.arange(n_rows, s * d), d)
-        self.phases = np.exp(2j * np.pi * (np.outer(q, block) % s) / s) / math.sqrt(s)
-        harmonics = symbol_harmonics(spec)
-        u, p = np.arange(len(harmonics))[:, None, None] - len(harmonics) // 2, np.arange(d)
-        used = (np.maximum(0, -u) * d + p[:, None] < n_rows) & (np.maximum(0, u) * d + p < n_rows)
-        self.max_entry = float(np.max(np.abs(harmonics), where=used, initial=0.0))
-
-    def removed_rows(self, rows) -> np.ndarray:
-        """The removed rows (c, k, mu) of the unit lifts of c stacks of
-        eigenvector matrices, from their rows ``rows`` (c, s, k, d) at the
-        removed positions: column q(n+1) + i lifts eigenvector i at theta_q."""
-        c, s, k, d = rows.shape
-        return np.swapaxes(self.phases[:, :, None] * rows, 1, 2).reshape(c, k, s * d)
 
 
 def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
@@ -418,15 +385,14 @@ def spectrum_match_gap(spec: PeriodicBandedSpec, s: int) -> float:
 def lifting_residual_max(spec: PeriodicBandedSpec, s: int) -> float:
     """Worst residual ``|C_mu w - lambda w|`` over all lifted unit
     eigenvectors of all symbols at the s-th roots of unity, scaled by
-    ``1 + |lambda|``.  The s (n+1) lifts, ``lift_eigenvector``'s entries,
-    are the columns of one mu x mu matrix, so C_mu takes one product."""
+    ``1 + |lambda|``.  The s (n+1) lifts, ``lift_eigenvector``'s entries over
+    sqrt(s), are the columns of one mu x mu matrix, so C_mu takes one product."""
     c = c_mu(spec, s)
     values, vectors = lapack(np.linalg.eig, symbol_batch(spec, TAU * np.arange(s) / s))
-    r = np.arange(s)
-    # Row u (n+1) + p, column q (n+1) + i: vectors[q, p, i] rho^(u q).
-    phases = np.exp(2j * np.pi * r * r[:, None] / s)
+    # Row u (n+1) + p, column q (n+1) + i: vectors[q, p, i] rho^(u q) / sqrt(s),
+    # a unit lift of a unit eigenvector.
+    phases = _fourier_phases(s, np.arange(s))
     lifted = (phases[:, None, :, None] * np.swapaxes(vectors, 0, 1)).reshape(c.shape)
-    lifted /= np.linalg.norm(lifted, axis=0)
     values = values.ravel()
     residuals = np.linalg.norm(c @ lifted - lifted * values, axis=0) / (1.0 + np.abs(values))
     return float(np.max(residuals))

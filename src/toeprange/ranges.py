@@ -37,14 +37,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .linalg import as_matrix
+from .linalg import MATRIX_SIZE_CAP, as_matrix
 from .operators import (
     TAU,
     PeriodicBandedSpec,
     SpecError,
     is_selfadjoint,
+    _fourier_phases,
     symbol_batch,
-    TruncationSection,
     symbol_harmonics,
 )
 
@@ -714,39 +714,50 @@ def selfadjoint_interval(
     return -float(upper[0, 1]), float(upper[0, 0])
 
 
-def _decompose(harmonics, pairs, phi_count: int, fractions, keep):
-    """All d eigenvalues (c, A, d) and the eigenvector rows ``keep`` (c, A,
-    len(keep), d) of Re(e^{-i phi} A(theta)) at the directions phi of the c
-    ``pairs`` and the A angles theta of the reduced (q, s) ``fractions``."""
-    num, den = np.array(fractions).T
-    values, rows = _extreme_eigs(harmonics, np.repeat(TAU * pairs / phi_count, len(fractions)),
-                                 thetas=np.tile(TAU * num / den, len(pairs)), keep=keep)
-    shape = (len(pairs), len(fractions), len(keep), values.shape[-1])
-    return values.reshape(shape[:2] + shape[3:]), rows.reshape(shape)
+def _truncation_extremes(harmonics, band: int, sizes, pairs, phi_count: int) -> np.ndarray:
+    """Bottom and top eigenvalues (len(sizes), len(pairs), 2) of Re(e^{-i phi_k}
+    T_n) for each size n of ``sizes`` at the directions of ``pairs``.
 
-
-def _truncation_extremes(harmonics, section: TruncationSection, pairs, phi_count: int,
-                         keep=None, start=None) -> np.ndarray:
-    """Bottom and top eigenvalues (len(pairs), 2) of Re(e^{-i phi_k} T_n) at
-    the directions of ``pairs``.  H = Re(e^{-i phi} C_mu) = Q diag(lambda) Q*
-    with Q the Fourier-lifted eigenvectors of its s symbol blocks, and T_n's
-    part is H's compression off the removed coordinates, so each pair's
-    blocks are decomposed (or taken from ``start``: decompositions at the
-    angles ``start[2]``, kept rows ``keep``) and compressed by
+    T_n is the leading block of C_mu, s = max(ceil((n + m) / d), ceil((2m + 1)
+    / d)): an entry of C_mu wraps by mu = s d >= n + m columns, past the band
+    of every entry of that block.  H = Re(e^{-i phi} C_mu) = Q diag(lambda) Q*
+    with Q the Fourier-lifted unit eigenvectors of its s symbol blocks at
+    theta_q = 2 pi q / s, and T_n's part is H's compression off the k = mu - n
+    removed coordinates u d + p, whose rows of Q are ``_fourier_phases(s, u)``
+    times the eigenvector rows p.  So the pairs are decomposed once, at the
+    union of every size's angles (the reduced fractions q / s in ascending
+    order), keeping the rows p of any size, and each size is compressed by
     ``linalg.compression_extremes``, ``_blocks`` of pairs at a time, so that
     each stack of blocks or removed rows stays within the chunk budget."""
-    keep = np.unique(section.position, return_index=True)[0] if keep is None else keep
-    where, mu = np.searchsorted(keep, section.position), section.s * len(harmonics[0])
-    values = np.empty((len(pairs), 2))
-    for rows in _blocks(len(pairs), mu * (len(keep) + 1 + 6 * len(where))):
-        if start is None:
-            lam, vec = _decompose(harmonics, pairs[rows], phi_count, section.fractions, keep)
-        else:
-            lam, vec = start[0][rows][:, start[2]], start[1][rows][:, start[2]]
-        values[rows] = linalg.compression_extremes(lam.reshape(len(lam), mu),
-                                                   section.removed_rows(vec[:, :, where]))
-        del lam, vec
-    return values
+    d = harmonics.shape[-1]
+    if not len(pairs):
+        return np.empty((len(sizes), 0, 2))
+    counts = [max(-(-(n + band) // d), -(-(2 * band + 1) // d)) for n in sizes]
+    removed = [np.divmod(np.arange(n, s * d), d) for n, s in zip(sizes, counts)]
+    q, den = np.concatenate([np.arange(s) for s in counts]), np.repeat(counts, counts)
+    fractions, first = np.unique(q / den, return_index=True)
+    common = np.gcd(q, den)[first]
+    keep = np.flatnonzero(np.bincount(np.concatenate([p for _, p in removed]), minlength=d))
+    # The decompositions of every pair, and one chunk's stacks.
+    linalg.check_bytes(16 * len(pairs) * fractions.size * d * (keep.size + 1)
+                       + 4 * 16 * _CHUNK_ENTRY_BUDGET,
+                       f"an inclusion check at {fractions.size} symbol angles")
+    out = np.empty((len(sizes), len(pairs), 2))
+    thetas = TAU * (q[first] // common) / (den[first] // common)
+    values, rows = _extreme_eigs(harmonics, np.repeat(TAU * pairs / phi_count, thetas.size),
+                                 thetas=np.tile(thetas, len(pairs)), keep=keep)
+    values, rows = (a.reshape(len(pairs), thetas.size, *a.shape[1:]) for a in (values, rows))
+    for i, (s, (block, position)) in enumerate(zip(counts, removed)):
+        # q / s rounds to the same double as its reduced form, so the search is exact.
+        at, where = np.searchsorted(fractions, np.arange(s) / s), np.searchsorted(keep, position)
+        phases = _fourier_phases(s, block)[:, :, None]
+        for c in _blocks(len(pairs), s * d * (keep.size + 1 + 6 * where.size)):
+            vec = phases * rows[c][:, at][:, :, where]
+            out[i, c] = linalg.compression_extremes(
+                values[c][:, at].reshape(-1, s * d),
+                np.swapaxes(vec, 1, 2).reshape(len(vec), where.size, s * d))
+            del vec
+    return out
 
 
 def truncation_inclusion_check(
@@ -764,8 +775,9 @@ def truncation_inclusion_check(
     ``support_rtol`` the report was swept at.
 
     The support h_T(phi) is the top eigenvalue of Re(e^{-i phi} T_n), and
-    T_n is the leading block of the block circulant C_mu (``TruncationSection``),
-    which the Fourier unitary splits into the symbols at theta_q = 2 pi q / s.
+    T_n is the leading block of the block circulant C_mu, which the Fourier
+    unitary splits into the symbols at theta_q = 2 pi q / s
+    (``_truncation_extremes``).
     So each direction takes an ``eigh`` of s symbol blocks, d x d, and a
     k x k secular count and step (``linalg.compression_extremes``) for its two
     extremes, k = mu - n, instead of a dense n x n solve.
@@ -778,12 +790,17 @@ def truncation_inclusion_check(
     below ``samples[j, 0]`` less the rounding allowance.  So a direction is
     a candidate only while its solved or wedge support minus U_j, or minus
     that floor while U_j is not yet known, reaches the best excess among
-    directions whose U_j is known, less a rounding margin.  Candidate gaps
-    are bisected and candidate pairs certified (the largest candidate's
-    pair first, each pair at most once per call, its bounds shared by the
-    later sizes) until none is left; the result equals the maximum over
-    every direction.
+    directions whose U_j is known, less a rounding margin of 1e-12 (1 +
+    (2m + 1) max |entry|), the spec's largest entry bounding every
+    truncation's.  Candidate gaps are bisected and candidate pairs certified
+    (the largest candidate's pair first, each pair at most once per call,
+    its bounds shared by the later sizes) until none is left; the result
+    equals the maximum over every direction.
     """
+    sizes = [n_rows] if np.ndim(n_rows) == 0 else list(n_rows)
+    for n in sizes:
+        if not isinstance(n, (int, np.integer)) or not 1 <= n <= MATRIX_SIZE_CAP:
+            raise ValueError(f"truncation size {n!r} is not an integer in 1..{MATRIX_SIZE_CAP}")
     phi_count = report.phi_count
     upper = np.asarray(report.upper, dtype=float)
     if upper.shape != (phi_count,):
@@ -791,33 +808,25 @@ def truncation_inclusion_check(
     harmonics = symbol_harmonics(spec)
     if report.spec is None or not np.array_equal(harmonics, symbol_harmonics(report.spec)):
         raise ValueError("the report was not swept for a spec with these harmonics")
+    if not sizes:
+        return []
     half = _solved_count(phi_count)
     _, rounding = _allowances(harmonics, SUPPORT_RTOL)
     # bound[j] is U_j where ``known``, elsewhere the floor samples[j, 0] - rounding.
     known = np.full(phi_count, report.support_rtol <= SUPPORT_RTOL)
     bound = np.where(known, upper, report.samples[:, 0] - rounding)
-    sections = [TruncationSection(spec, n) for n in ([n_rows] if np.ndim(n_rows) == 0 else n_rows)]
-    fractions = sorted({f for section in sections for f in section.fractions})
-    keep = np.unique(np.concatenate([section.position for section in sections]),
-                     return_index=True)[0]
+    margin = 1e-12 * (1.0 + (2 * spec.band + 1) * spec.max_entry())
     start = np.arange(0, half, 8)
-    # The start pairs' eigenvalues and kept rows, and one chunk's stacks.
-    linalg.check_bytes(16 * start.size * len(fractions) * spec.period * (keep.size + 1)
-                       + 4 * 16 * _CHUNK_ENTRY_BUDGET,
-                       f"an inclusion check at {len(fractions)} symbol angles")
-    decomposed = _decompose(harmonics, start, phi_count, fractions, keep)
-    index = {f: i for i, f in enumerate(fractions)}
+    shared = _truncation_extremes(harmonics, spec.band, sizes, start, phi_count)
     excesses = []
-    for section in sections:
-        at = [index[f] for f in section.fractions]
-        margin = 1e-12 * (1.0 + (2 * spec.band + 1) * section.max_entry)
+    for n, extremes in zip(sizes, shared):
         supports = np.zeros(phi_count)
         solved = np.zeros(phi_count, dtype=bool)
         new = pairs = start
         while new.size or pairs.size:
-            values = _truncation_extremes(harmonics, section, new, phi_count, keep,
-                                          (*decomposed, at) if new is start else None)
-            directions, values, _ = _antipodes(new, phi_count, values)
+            if new is not start:
+                extremes = _truncation_extremes(harmonics, spec.band, [n], new, phi_count)[0]
+            directions, values, _ = _antipodes(new, phi_count, extremes)
             supports[directions], solved[directions] = values, True
             exact = solved & known
             excess = supports - bound

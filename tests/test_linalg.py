@@ -10,6 +10,7 @@ from conftest import grid_supports, random_complex_matrix, random_hermitian
 from toeprange.linalg import (
     EigenSolverError,
     as_matrix,
+    compression_extremes,
     lapack,
     max_norm,
     rotated_hermitian_parts,
@@ -261,6 +262,40 @@ class TestEigh:
 
     def test_error_type_exists(self):
         assert issubclass(EigenSolverError, RuntimeError)
+
+
+class TestCompressionExtremes:
+    @staticmethod
+    def unitaries(rng, mu):
+        """Three mu x mu unitaries: a dense one, a permutation, and a dense
+        block beside an identity block, whose rows have zero entries."""
+        dense = np.linalg.qr(random_complex_matrix(rng, mu))[0]
+        mixed = np.eye(mu, dtype=complex)
+        half = max(1, mu // 2)
+        mixed[:half, :half] = np.linalg.qr(random_complex_matrix(rng, half))[0]
+        return [dense, np.eye(mu)[rng.permutation(mu)] + 0j, mixed]
+
+    def test_matches_dense_compressions(self):
+        # The extremes of H = Q diag(lambda) Q* off k coordinates against
+        # eigvalsh of the compression.  Repeated lambda, and removed rows with
+        # zero entries, leave F' singular, which the bisection fallback covers.
+        rng = np.random.default_rng(30)
+        for mu in (1, 2, 3, 6, 11, 25, 40):
+            for k in range(min(5, mu - 1) + 1):
+                values, removed, want = [], [], []
+                for lam in (3.0 * rng.standard_normal(mu), rng.choice([-1.0, 0.5, 2.0], mu),
+                            np.full(mu, 0.25)):
+                    for q in self.unitaries(rng, mu):
+                        cut = rng.permutation(mu)[:k]
+                        kept = np.setdiff1d(np.arange(mu), cut)
+                        h = (q * lam) @ q.conj().T
+                        compressed = np.linalg.eigvalsh(h[np.ix_(kept, kept)])
+                        values.append(lam)
+                        removed.append(q[cut])
+                        want.append([compressed[0], compressed[-1]])
+                got = compression_extremes(np.array(values), np.array(removed))
+                tol = 1e-13 * (1.0 + np.max(np.abs(values), axis=1))
+                assert np.all(np.abs(got - np.array(want)) <= tol[:, None]), (mu, k)
 
 
 class TestLapack:

@@ -14,10 +14,10 @@ from toeprange.operators import (
     TAU,
     PeriodicBandedSpec,
     SpecError,
-    TruncationSection,
     block_diagonalization_residual,
     c_mu,
     counterexample_spec,
+    _fourier_phases,
     fourier_unitary,
     free_jacobi_spec,
     is_selfadjoint,
@@ -210,35 +210,31 @@ class TestTruncation:
             build(spec)
 
 
-class TestTruncationSection:
+class TestLeadingBlockOfCMu:
     @pytest.mark.parametrize("selfadjoint", [False, True])
     def test_leading_block_of_c_mu(self, selfadjoint):
-        # T_n is the leading block of C_mu; the removed rows are those of the
-        # unit lifts, and max_entry is the truncation's max norm.
+        # With s = max(ceil((n + m) / d), ceil((2m + 1) / d)), T_n is the
+        # leading block of C_mu, and the phase table times an eigenvector's
+        # entries gives the rows of its unit lift past the block.
         rng = np.random.default_rng(27)
         for period in range(1, 6):
             for band in range(7):
                 spec = random_spec(rng, period, band, selfadjoint=selfadjoint)
                 for n in sorted({1, max(1, period - 1), period + 2, 3 * period + band}):
-                    section = TruncationSection(spec, n)
-                    mu = section.s * period
+                    s = max(-(-(n + band) // period), -(-(2 * band + 1) // period))
+                    mu = s * period
                     assert mu >= n + band and mu >= 2 * band + 1
                     t = truncation(spec, n)
-                    assert section.max_entry == max_norm(t)
-                    if section.s >= 2:
-                        assert np.array_equal(c_mu(spec, section.s)[:n, :n], t)
-                    vectors = rng.standard_normal((section.s, period, period)) + 0j
-                    removed = section.removed_rows(vectors[None, :, section.position, :])[0]
-                    lifts = np.stack([lift_eigenvector(v, q, section.s)
-                                      for q in range(section.s) for v in vectors[q].T], axis=1)
-                    assert np.allclose(removed, lifts[n:] / math.sqrt(section.s),
-                                       rtol=0, atol=1e-13)
-
-    def test_sizes_are_validated(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            TruncationSection(counterexample_spec(), 0)
-        with pytest.raises(ValueError, match="exceeds cap"):
-            TruncationSection(counterexample_spec(), linalg.MATRIX_SIZE_CAP + 1)
+                    if s >= 2:
+                        assert np.array_equal(c_mu(spec, s)[:n, :n], t)
+                    block, position = np.divmod(np.arange(n, mu), period)
+                    vectors = rng.standard_normal((s, period, period)) + 0j
+                    phases = _fourier_phases(s, block)
+                    removed = np.concatenate([phases[q][:, None] * vectors[q][position]
+                                              for q in range(s)], axis=1)
+                    lifts = np.stack([lift_eigenvector(v, q, s)
+                                      for q in range(s) for v in vectors[q].T], axis=1)
+                    assert np.allclose(removed, lifts[n:] / math.sqrt(s), rtol=0, atol=1e-13)
 
 
 class TestSymbol:
@@ -533,6 +529,13 @@ class TestLifting:
         for u in range(s):
             for p in range(3):
                 assert abs(out[p + 3 * u] - v[p] * rho ** (u * r)) < 1e-12
+
+    def test_phases_are_reduced_mod_s(self):
+        # At frequency s / 2 every even block's phase is rho^(k s) = 1, so
+        # with the exponent reduced mod s those blocks repeat v exactly.
+        v = np.random.default_rng(29).standard_normal(3) + 1j
+        blocks = lift_eigenvector(v, 32, 64).reshape(64, 3)
+        assert all(np.array_equal(block, v) for block in blocks[::2])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,13 @@ from toeprange.operators import (
     spectrum_match_gap,
     truncation,
 )
-from toeprange.ranges import flat_table, operator_range, selfadjoint_interval, symbol_ranges
+from toeprange.ranges import (
+    flat_table,
+    operator_range,
+    selfadjoint_interval,
+    symbol_ranges,
+    truncation_inclusion_check,
+)
 
 COUNTEREXAMPLE = os.path.join(os.path.dirname(__file__), "..", "specs", "counterexample.json")
 
@@ -276,6 +282,11 @@ def test_one_byte_cap():
     assert "ranges" not in imports(trees["cli.py"])[1]
 
 
+# Swept before any test lowers the cap, so that the inclusion check's own
+# charge is the one a lowered cap refuses.
+SWEPT = operator_range(counterexample_spec(), 3, 3)
+
+
 @pytest.mark.parametrize(
     "run",
     [
@@ -292,11 +303,12 @@ def test_one_byte_cap():
         lambda: block_diagonalization_residual(counterexample_spec(), 3),
         lambda: spectrum_match_gap(counterexample_spec(), 3),
         lambda: lifting_residual_max(counterexample_spec(), 3),
+        lambda: truncation_inclusion_check(counterexample_spec(), 5, SWEPT),
     ],
     ids=["operator_range", "selfadjoint_interval", "flat_table", "symbol_ranges",
          "hyperbolicity_test", "nonrepresentability_report", "truncation", "is_selfadjoint",
          "cli_symbol", "c_mu", "block_diagonalization_residual", "spectrum_match_gap",
-         "lifting_residual_max"],
+         "lifting_residual_max", "truncation_inclusion_check"],
 )
 def test_one_lowered_cap_reaches_every_charge(monkeypatch, capsys, run):
     monkeypatch.setattr(linalg, "BYTE_CAP", 1)

@@ -28,7 +28,6 @@ from toeprange.operators import (
     symbol_batch,
     symbol_harmonics,
     truncation,
-    TruncationSection,
 )
 from toeprange.ranges import (
     REFINE_BUDGET,
@@ -106,14 +105,13 @@ def theta_reference(spec, phi_count, theta_count=4096):
     return np.max([grid_supports(mat, phi_count) for mat in symbol_batch(spec, thetas)], axis=0)
 
 
-def section_supports(spec, n, phi_count):
+def truncation_supports(spec, n, phi_count):
     """Supports of the ``n``-row truncation in every direction of the uniform
     grid of ``phi_count``, from the solver the inclusion check uses, with
     every pair in one call."""
     pairs = np.arange(_solved_count(phi_count))
-    values = ranges._truncation_extremes(symbol_harmonics(spec), TruncationSection(spec, n),
-                                         pairs, phi_count)
-    return _antipodes(pairs, phi_count, values)[1]
+    values = ranges._truncation_extremes(symbol_harmonics(spec), spec.band, [n], pairs, phi_count)
+    return _antipodes(pairs, phi_count, values[0])[1]
 
 
 def band_width(spec) -> float:
@@ -249,9 +247,9 @@ class TestBatchedSupport:
         # bottom and top from one decomposition.
         handed, extremes = [], ranges._truncation_extremes
 
-        def handing(harmonics, section, pairs, *args):
+        def handing(harmonics, band, sizes, pairs, *args):
             handed.append(len(pairs))
-            return extremes(harmonics, section, pairs, *args)
+            return extremes(harmonics, band, sizes, pairs, *args)
 
         monkeypatch.setattr(ranges, "_truncation_extremes", handing)
         truncation_inclusion_check(spec, 12, report)
@@ -750,7 +748,7 @@ class TestTruncationSupports:
         rotated = np.exp(-1j * phis)[:, None, None] * truncation(spec, n)
         dense = np.linalg.eigvalsh(0.5 * (rotated + np.conj(np.swapaxes(rotated, 1, 2))))[:, -1]
         tol = 1e-13 * (1.0 + (2 * spec.band + 1) * spec.max_entry())
-        assert np.max(np.abs(section_supports(spec, n, phi_count) - dense)) <= tol
+        assert np.max(np.abs(truncation_supports(spec, n, phi_count) - dense)) <= tol
 
     @pytest.mark.parametrize("phi_count", [72, 73])
     def test_counterexample(self, phi_count):
@@ -992,7 +990,7 @@ class TestCertifiedSupports:
     def test_pruned_inclusion_check_is_the_full_grid_maximum(self, spec, phi_count, sizes):
         report = operator_range(spec, phi_count=phi_count)
         for n in sizes:
-            full = section_supports(spec, n, phi_count)
+            full = truncation_supports(spec, n, phi_count)
             expected = float(np.max(full - report.upper))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
@@ -1108,7 +1106,7 @@ class TestScreenedInclusionCheck:
         _, alone = ranges._certified_maxima(spec, report.theta_count, phi_count, np.arange(half))
         bounds = alone.T.ravel()
         for n in sizes:
-            full = section_supports(spec, n, phi_count)
+            full = truncation_supports(spec, n, phi_count)
             expected = float(np.max(full - bounds))
             assert truncation_inclusion_check(spec, n, report) == expected
             assert expected <= 1e-8
@@ -1142,16 +1140,28 @@ class TestScreenedInclusionCheck:
             requested.extend(pairs.tolist())
             return certify(spec, theta_count, phi_count, pairs)
 
-        def solving(harmonics, section, pairs, *args):
+        def solving(harmonics, band, sizes, pairs, *args):
             # The directions handed to the solver, per truncation size.
-            solved[section.n_rows] = solved.get(section.n_rows, 0) + len(pairs)
-            return extremes(harmonics, section, pairs, *args)
+            for n in sizes:
+                solved[n] = solved.get(n, 0) + len(pairs)
+            return extremes(harmonics, band, sizes, pairs, *args)
 
         monkeypatch.setattr(ranges, "_certified_maxima", counting)
         monkeypatch.setattr(ranges, "_truncation_extremes", solving)
         assert truncation_inclusion_check(PERIOD8, [28, 60, 124], report) == fresh
         assert solved == {28: 48, 60: 49, 124: 76}
         assert requested == [104, 102, 103, 100]
+
+    def test_sizes_are_validated(self):
+        report = operator_range(counterexample_spec(), 4, 8)
+        for sizes in ([6, 0], linalg.MATRIX_SIZE_CAP + 1, 5.5):
+            with pytest.raises(ValueError, match="is not an integer in 1"):
+                truncation_inclusion_check(counterexample_spec(), sizes, report)
+
+    def test_no_sizes_decompose_nothing(self, monkeypatch):
+        report = operator_range(counterexample_spec(), 4, 8)
+        monkeypatch.setattr(ranges, "_extreme_eigs", None)
+        assert truncation_inclusion_check(counterexample_spec(), [], report) == []
 
     def test_check_modifies_neither_argument(self):
         def same(a, b):

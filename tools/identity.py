@@ -15,14 +15,17 @@ one without.  A change that should leave outputs alone must leave the two
 trees identical.
 
 A change of how a number is computed leaves the numbers it touches
-differing in their trailing digits and nothing else.  Computing the
-truncation supports from the symbol blocks of C_mu instead of dense
-n x n eigensolves, and the lifting residuals in one product, is such a
-change: against a dense checkout, ``verify`` tables differ only in the
-trailing digits of ``inclusion_excess`` (within 1e-13) and
-``lift_residual`` (within 1e-15), with every PASS/FAIL and exit code equal.
-``verify_seed0_p8b4_s32_s64`` covers truncations of 252 and 508 rows,
-about 16 s on the dense path.
+differing in their trailing digits and nothing else.  ``tools/numdiff.py
+OLD NEW`` tells such a change from any other: it lists each differing
+file, says whether only numeric tokens differ and gives the largest
+absolute difference, and exits 1 on any other difference.  The gate of
+such a change names the columns that may move and by how much, and every
+PASS/FAIL and exit code must stay equal.  Taking the truncation supports
+from the symbol blocks of C_mu instead of dense n x n eigensolves moved
+only ``inclusion_excess`` (within 4e-15); reducing the Fourier phases'
+exponents mod s moved only ``block_residual`` and ``lift_residual``
+(within 2e-14, at s = 64).  ``verify_seed0_p8b4_s32_s64`` covers
+truncations of 252 and 508 rows.
 """
 
 from __future__ import annotations
