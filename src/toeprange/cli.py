@@ -5,7 +5,8 @@ plot (``range --format svg`` with six overlays).  Handlers read the parsed
 ``argparse.Namespace`` and compose library results, which refuse oversized
 work themselves; only the ``symbol`` document is built, and charged, here.
 Every charge is checked by ``linalg.check_bytes`` against the one cap,
-``linalg.BYTE_CAP``, read at call time.
+``linalg.BYTE_CAP``, read at call time.  ``svg`` and ``curves`` are imported
+by the code that uses them, so the other commands do not load them.
 Operator spec files are JSON documents with integer ``period``, integer
 ``band`` and a ``diagonals`` map from offset strings to arrays of entries
 (bare reals or ``[re, im]`` pairs).
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from . import svg
-from .curves import ellipse_family_residual, evaluate_form, nonrepresentability_report
 from .linalg import check_bytes
 from .operators import (
     TAU,
@@ -57,11 +57,12 @@ EXIT_IO = 4
 EXIT_TOLERANCE = 5
 
 FORMATS = ("report-doc", "flat-table", "svg")
-# Support tolerance of the sweep ``verify`` screens its directions with.  The
-# inclusion check certifies to ``SUPPORT_RTOL`` the directions its excess
-# depends on, so a looser screen saves solves without loosening the bounds
-# the printed excess is taken against.
-_SCREEN_RTOL = 1e-4
+# Support tolerance of the sweep ``verify`` screens its directions with: none,
+# so the screen is its start grid and polish, and bisects no interval.  The
+# inclusion check reads only the screen's supports, as floors, and certifies
+# to ``SUPPORT_RTOL`` the directions its excess depends on, so the printed
+# excess is taken against the same bounds as after a fine sweep.
+_SCREEN_RTOL = math.inf
 # Bytes per entry of a ``symbol`` document: its [re, im] list and floats
 # (~156) and its JSON text, at most 54 characters, held twice (the pieces and
 # their join).  Measured: 168 bytes an entry at 12 characters, 248 at 44.
@@ -139,6 +140,8 @@ def cmd_range(args: argparse.Namespace) -> int:
     if args.format == "flat-table":
         text = flat_table(spec, **_grid(args))
     elif args.format == "svg":
+        from . import svg
+
         # Built first, so oversized overlays are refused before the sweep.
         overlays = symbol_ranges(spec, args.overlay_thetas, args.phi_count)
         report = operator_range(spec, **_grid(args))
@@ -204,6 +207,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def counterexample_doc(*, direction_count: int, **grid) -> tuple[dict, str]:
     """The counterexample report and its summary; ``grid`` goes to ``operator_range``."""
+    from .curves import ellipse_family_residual, evaluate_form, nonrepresentability_report
+
     # First, as the certificate refuses an oversized direction count up front.
     pipeline = nonrepresentability_report(direction_count)
     report = operator_range(counterexample_spec(), **grid)

@@ -239,9 +239,9 @@ def convex_hull(points) -> ConvexPolygon:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
+    # Python floats: the chain's scalar arithmetic on numpy rows is ~3x slower.
+    ordered = pts.tolist()
+    hull = chain(ordered)[:-1] + chain(ordered[::-1])[:-1]
     if len(hull) == 2:
         # All points collinear within tolerance.  Rounding noise in the
         # leading coordinate can put interior points of the segment first or
@@ -253,7 +253,7 @@ def convex_hull(points) -> ConvexPolygon:
         far = np.sum((pts - pts[i]) ** 2, axis=1)
         j = int(np.flatnonzero(far == far.max())[0])
         hull = pts[sorted((i, j))]
-    return ConvexPolygon(np.asarray(hull))
+    return ConvexPolygon(np.asarray(hull, dtype=float))
 
 
 def _solved_count(phi_count: int) -> int:
@@ -647,9 +647,10 @@ def operator_range(
     until the bound is within ``support_rtol * (1 + sum_u ||A_u||_F)`` of
     the best support found; a looser ``support_rtol`` takes fewer solves and
     leaves a wider band [support, upper] (``support_tol`` reports the widest
-    reached), but every ``upper`` stays a bound.  One ``eigh`` at the
-    direction's best ``theta`` then gives its boundary point.  The polygon
-    is their convex hull.  ``residual_summary`` holds
+    reached), but every ``upper`` stays a bound.  ``support_rtol=math.inf``
+    bisects no interval, and ``upper`` is then the start grid's parabola
+    bounds.  One ``eigh`` at the direction's best ``theta`` then gives its
+    boundary point.  The polygon is their convex hull.  ``residual_summary`` holds
     ``support_attainment_gap`` (largest support minus the boundary point's
     projection), ``support_tol`` (largest upper bound minus support) and
     ``certified_gap``, an upper bound on the Hausdorff distance between the

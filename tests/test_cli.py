@@ -360,9 +360,10 @@ class TestScreenedVerify:
         assert cli.main(["verify", path, *self.ARGS]) == 0
         assert capsys.readouterr().out == screened
 
-    def test_solves_a_third_of_a_fine_sweep(self, tmp_path, monkeypatch, capsys):
-        # A sweep at SUPPORT_RTOL takes 32,333 solves of the 8 x 8 symbol
-        # parts on this spec.
+    def test_solves_a_sixth_of_a_fine_sweep(self, tmp_path, monkeypatch, capsys):
+        """The screen bisects nothing: its start grid and the pairs the check
+        certifies take 5,540 solves of the 8 x 8 symbol parts on this spec,
+        where a sweep at SUPPORT_RTOL takes 32,333 and a 1e-4 screen 8,249."""
         path = write_spec(tmp_path, spec_to_doc(random_spec(np.random.default_rng(0), 8, 4)))
         solved, eigvalsh = [], np.linalg.eigvalsh
 
@@ -373,7 +374,7 @@ class TestScreenedVerify:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert cli.main(["verify", path, *self.ARGS]) == 0
-        assert sum(solved) <= 12_000
+        assert sum(solved) <= 6_000
 
 
 class TestCounterexample:

@@ -3,6 +3,8 @@
 import ast
 import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -38,12 +40,34 @@ def test_all_names_resolve_once():
 
 
 def test_all_is_every_public_binding():
+    # dir(), not vars(): a lazy name is bound only once it is first read.
     public = {
         name
-        for name, value in vars(toeprange).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(toeprange)
+        if not name.startswith("_") and not isinstance(getattr(toeprange, name), types.ModuleType)
     }
     assert set(toeprange.__all__) == public
+
+
+def test_modules_are_imported_on_first_use():
+    """A bare ``import toeprange`` loads no submodule, and ``verify`` loads
+    neither ``curves`` nor ``svg``, which it does not use."""
+    code = (
+        "import sys\n"
+        "import toeprange\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('toeprange.'))\n"
+        "assert loaded == [], loaded\n"
+        "from toeprange import cli\n"
+        f"assert cli.main(['verify', {COUNTEREXAMPLE!r}, '--phi-count', '90', '--s', '3']) == 0\n"
+        "loaded = {'toeprange.curves', 'toeprange.svg'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_decompositions_go_through_the_linalg_facade():

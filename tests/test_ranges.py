@@ -1079,16 +1079,20 @@ class TestCertifiedSubsets:
         assert np.array_equal(best_theta, full_theta[pairs])
 
     def test_support_rtol_is_reported_and_reached(self):
+        # At math.inf no interval is bisected; upper is still a bound.
         spec = counterexample_spec()
         fine = operator_range(spec, phi_count=360)
-        screen = operator_range(spec, phi_count=360, support_rtol=1e-4)
-        assert fine.support_rtol == SUPPORT_RTOL and screen.support_rtol == 1e-4
-        tolerance, rounding = ranges._allowances(symbol_harmonics(spec), 1e-4)
-        loose = screen.upper - screen.samples[:, 0]
-        assert screen.residual_summary["support_tol"] == np.max(loose)
-        assert np.max(loose) <= tolerance + 2 * rounding
-        assert np.max(loose) > fine.residual_summary["support_tol"]
-        assert np.all(theta_reference(spec, 360) <= screen.upper)
+        assert fine.support_rtol == SUPPORT_RTOL
+        reference = theta_reference(spec, 360)
+        for rtol in (1e-4, math.inf):
+            screen = operator_range(spec, phi_count=360, support_rtol=rtol)
+            assert screen.support_rtol == rtol
+            tolerance, rounding = ranges._allowances(symbol_harmonics(spec), rtol)
+            loose = screen.upper - screen.samples[:, 0]
+            assert screen.residual_summary["support_tol"] == np.max(loose)
+            assert np.max(loose) <= tolerance + 2 * rounding
+            assert np.max(loose) > fine.residual_summary["support_tol"]
+            assert np.all(reference <= screen.upper)
 
 
 class TestScreenedInclusionCheck:
